@@ -6,11 +6,16 @@ time: mass at phoneme n either moves to n+1 (weight q_n) or stays
 The final phoneme is absorbing: its outgoing move weight folds back
 into its stay weight, so the pre-normalization step conserves mass.
 
-Three mechanisms share one step kernel:
+Three mechanisms share one private step kernel and differ only in the
+move/stay weights, built once per run:
 
 * gdca  - duration-token weights (move q_{n-1}, stay 1-q_n)
 * fa    - token-free forward recursion (move 1, stay 1)
-* la    - content-only (the energies are the alignment)
+* la    - content-only (no weights: the energies are the alignment)
+
+Every stepping loop (``lattice_forward``, ``simulate.run_simulation``)
+runs the kernel on raw arrays, with input checked once at entry; the
+public ``gdca_step``/``fa_step``/``la_step`` validate and delegate to it.
 
 With q = 0.5 everywhere the gdca weights are exactly half the fa
 weights (including the absorbing boundary), so the two mechanisms agree
@@ -126,13 +131,18 @@ def content_energies_backward(
 
 
 def normalize_energies(e: np.ndarray) -> np.ndarray:
-    """Stable softmax (max-subtraction); sums to 1, all entries > 0."""
+    """Stable softmax (max-subtraction) over the last axis, so a (T, N)
+    matrix is normalized row by row; each row sums to 1, entries > 0."""
+    e = _finite_energy(e)
+    w = np.exp(e - e.max(axis=-1, keepdims=True))
+    return w / w.sum(axis=-1, keepdims=True)
+
+
+def _finite_energy(e: np.ndarray) -> np.ndarray:
     e = np.asarray(e, dtype=np.float64)
     if not np.all(np.isfinite(e)):
         raise ValueError("non-finite energy")
-    shifted = e - e.max()
-    w = np.exp(shifted)
-    return w / w.sum()
+    return e
 
 
 # ---------------------------------------------------------------------------
@@ -149,6 +159,8 @@ class AlignmentDistribution:
         object.__setattr__(self, "p", p)
         if p.ndim != 1 or p.size == 0:
             raise ValueError("alignment must be a non-empty vector")
+        if not np.all(np.isfinite(p)):
+            raise ValueError("alignment has non-finite entries")
         if np.any(p < 0) or abs(p.sum() - 1.0) > 1e-9:
             raise ValueError("alignment is not a probability distribution")
 
@@ -230,18 +242,39 @@ def _shift_weights(q: np.ndarray, convention: str) -> tuple[np.ndarray, np.ndarr
     return move, stay
 
 
-def _recurse(p_prev: np.ndarray, move: np.ndarray, stay: np.ndarray) -> np.ndarray:
-    a = stay * p_prev
-    a[1:] += move[1:] * p_prev[:-1]
-    return a
+def _weights(mechanism: str, q: TransitionTokens | None, n: int, convention: str = "prose") -> tuple:
+    """Move/stay weights of a mechanism over n phonemes, built once per
+    run; the one place that dispatches on the mechanism.  la has none."""
+    if mechanism == "la":
+        return None, None
+    if mechanism == "fa":  # gdca at q = 0.5, doubled: move 1, stay 1, final stay 2
+        move, stay = _shift_weights(np.full(n, 0.5), "prose")
+        return 2.0 * move, 2.0 * stay
+    if q is None or q.q.size != n:
+        raise ValueError("gdca needs tokens matching the phoneme count")
+    return _shift_weights(q.q, convention)
 
 
-def _finish_step(a: np.ndarray, e_norm: np.ndarray, step: int) -> AlignmentDistribution:
-    b = a * e_norm
+def _step(p: np.ndarray, e: np.ndarray, move: np.ndarray | None, stay: np.ndarray | None, opts: StepOptions) -> tuple:
+    """The step kernel on raw, already validated arrays: window filter,
+    recursion, content, normalize.  ``move`` None is la, whose
+    pre-content vector is 1 (or the window mask).  Returns
+    (p_next, a, s); the pre-content vector a and the normalizer s are
+    what the backward cache keeps."""
+    if opts.filter_enabled:
+        mask = window_mask(p.size, int(np.argmax(p)), opts.window_width, opts.window_shape)
+    if move is None:
+        a = mask if opts.filter_enabled else 1.0
+    else:
+        if opts.filter_enabled:
+            p = p * mask
+        a = stay * p
+        a[1:] += move[1:] * p[:-1]
+    b = a * e
     s = b.sum()
     if s < 1e-300:
         raise FloatingPointError("alignment normalizer underflowed; inconsistent filter/energy combination")
-    return AlignmentDistribution(p=b / s, step=step)
+    return b / s, a, s
 
 
 def window_mask(n: int, center: int, width: int, shape: str = "rectangular") -> np.ndarray:
@@ -283,15 +316,11 @@ def gdca_step(
     opts: StepOptions = StepOptions(),
 ) -> AlignmentDistribution:
     """One duration-controlled step: filter, recursion, content, normalize."""
-    e_norm = np.asarray(e_norm, dtype=np.float64)
-    if p_prev.p.size != q.q.size or p_prev.p.size != e_norm.size:
+    e = _finite_energy(e_norm)
+    if p_prev.p.size != q.q.size or p_prev.p.size != e.size:
         raise ValueError("length mismatch between alignment, tokens, and energies")
-    p = p_prev.p
-    if opts.filter_enabled:
-        p = dynamic_filter(p, opts.window_width, opts.window_shape)
-    move, stay = _shift_weights(q.q, opts.convention)
-    a = _recurse(p, move, stay)
-    return _finish_step(a, e_norm, p_prev.step + 1)
+    move, stay = _weights("gdca", q, e.size, opts.convention)
+    return AlignmentDistribution(p=_step(p_prev.p, e, move, stay, opts)[0], step=p_prev.step + 1)
 
 
 def fa_step(
@@ -300,19 +329,11 @@ def fa_step(
     opts: StepOptions = StepOptions(mechanism="fa"),
 ) -> AlignmentDistribution:
     """Token-free forward step: p(n-1) + p(n), content multiply, normalize."""
-    e_norm = np.asarray(e_norm, dtype=np.float64)
-    if p_prev.p.size != e_norm.size:
+    e = _finite_energy(e_norm)
+    if p_prev.p.size != e.size:
         raise ValueError("length mismatch between alignment and energies")
-    p = p_prev.p
-    if opts.filter_enabled:
-        p = dynamic_filter(p, opts.window_width, opts.window_shape)
-    n = p.size
-    move = np.ones(n)
-    move[0] = 0.0
-    stay = np.ones(n)
-    stay[-1] = 2.0  # absorbing: stay + outgoing move
-    a = _recurse(p, move, stay)
-    return _finish_step(a, e_norm, p_prev.step + 1)
+    move, stay = _weights("fa", None, e.size)
+    return AlignmentDistribution(p=_step(p_prev.p, e, move, stay, opts)[0], step=p_prev.step + 1)
 
 
 def la_step(
@@ -322,16 +343,12 @@ def la_step(
 ) -> AlignmentDistribution:
     """Content-only step; with the filter enabled, a window centered at
     the previous argmax masks the energies before renormalizing."""
-    e = np.asarray(e_norm, dtype=np.float64)
-    step = p_prev.step + 1 if p_prev is not None else 0
-    if opts.filter_enabled and p_prev is not None:
-        m = int(np.argmax(p_prev.p))
-        masked = e * window_mask(e.size, m, opts.window_width, opts.window_shape)
-        s = masked.sum()
-        if s < 1e-300:
-            raise FloatingPointError("windowed energies underflowed")
-        return AlignmentDistribution(p=masked / s, step=step)
-    return AlignmentDistribution(p=e / e.sum(), step=step)
+    e = _finite_energy(e_norm)
+    if p_prev is None:  # first step: no previous argmax to center a window on
+        return AlignmentDistribution(p=_step(e, e, None, None, StepOptions(mechanism="la"))[0], step=0)
+    if p_prev.p.size != e.size:
+        raise ValueError("length mismatch between alignment and energies")
+    return AlignmentDistribution(p=_step(p_prev.p, e, None, None, opts)[0], step=p_prev.step + 1)
 
 
 def context_vector(p: AlignmentDistribution | np.ndarray, keys: np.ndarray) -> np.ndarray:
@@ -373,52 +390,25 @@ def lattice_forward(
     softmax to each energy row first.  A cache for the backward pass is
     recorded only for the unfiltered gdca mechanism.
     """
-    energies = np.asarray(energies, dtype=np.float64)
+    energies = _finite_energy(energies)
     if energies.ndim != 2:
         raise ValueError("energies must be a (T, N) matrix")
     t_steps, n = energies.shape
     if normalize:
-        energies = np.vstack([normalize_energies(row) for row in energies])
-    if opts.mechanism == "gdca":
-        if q is None or q.q.size != n:
-            raise ValueError("gdca needs tokens matching the phoneme count")
-
+        energies = normalize_energies(energies)
     rows = np.empty((t_steps + 1, n))
     rows[0] = init_alignment(n).p
-    cache = None
-    if keep_cache:
-        if opts.mechanism != "gdca" or opts.filter_enabled:
-            raise ValueError("backward cache requires unfiltered gdca")
-        cache = LatticeCache(
-            q=q.q.copy(),
-            energies=energies.copy(),
-            p_rows=rows,
-            a_rows=np.empty((t_steps, n)),
-            sums=np.empty(t_steps),
-            convention=opts.convention,
-        )
+    move, stay = _weights(opts.mechanism, q, n, opts.convention)
+    if keep_cache and (opts.mechanism != "gdca" or opts.filter_enabled):
+        raise ValueError("backward cache requires unfiltered gdca")
 
-    dist = AlignmentDistribution(p=rows[0], step=0)
+    a_rows = np.empty((t_steps, n)) if keep_cache else None
+    sums = np.empty(t_steps)
     for t in range(t_steps):
-        e = energies[t]
-        if opts.mechanism == "gdca":
-            if cache is not None:
-                move, stay = _shift_weights(q.q, opts.convention)
-                a = _recurse(dist.p, move, stay)
-                b = a * e
-                s = b.sum()
-                if s < 1e-300:
-                    raise FloatingPointError("alignment normalizer underflowed")
-                cache.a_rows[t] = a
-                cache.sums[t] = s
-                dist = AlignmentDistribution(p=b / s, step=t + 1)
-            else:
-                dist = gdca_step(dist, q, e, opts)
-        elif opts.mechanism == "fa":
-            dist = fa_step(dist, e, opts)
-        else:
-            dist = la_step(e, dist, opts)
-        rows[t + 1] = dist.p
+        rows[t + 1], a, sums[t] = _step(rows[t], energies[t], move, stay, opts)
+        if keep_cache:
+            a_rows[t] = a
+    cache = LatticeCache(q.q.copy(), energies.copy(), rows, a_rows, sums, opts.convention) if keep_cache else None
     return AlignmentMatrix(probs=rows, cache=cache)
 
 
@@ -436,6 +426,7 @@ def lattice_backward(alignment: AlignmentMatrix, d_probs: np.ndarray) -> tuple[n
         raise ValueError("upstream gradient shape mismatch")
     t_steps, n = cache.energies.shape
     move, stay = _shift_weights(cache.q, cache.convention)
+    sign = 1.0 if cache.convention == "prose" else -1.0  # eq3-literal is prose with q -> 1 - q
     dq = np.zeros(n)
     d_energies = np.zeros((t_steps, n))
 
@@ -454,12 +445,8 @@ def lattice_backward(alignment: AlignmentMatrix, d_probs: np.ndarray) -> tuple[n
         dstay = da * p_prev
         dmove = np.zeros(n)
         dmove[1:] = da[1:] * p_prev[:-1]
-        if cache.convention == "prose":
-            dq[:-1] += dmove[1:]  # move[n] = q[n-1]
-            dq[:-1] -= dstay[:-1]  # stay[n] = 1 - q[n], final stay fixed at 1
-        else:
-            dq[:-1] -= dmove[1:]  # move[n] = 1 - q[n-1]
-            dq[:-1] += dstay[:-1]  # stay[n] = q[n], final stay fixed at 1
+        dq[:-1] += sign * dmove[1:]  # prose: move[n] = q[n-1]
+        dq[:-1] -= sign * dstay[:-1]  # prose: stay[n] = 1 - q[n], final stay fixed at 1
         carry = da * stay
         carry[:-1] += da[1:] * move[1:]
     return dq, d_energies

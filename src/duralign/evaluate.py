@@ -210,6 +210,9 @@ def tempo_sweep(
     )
 
 
+_PROFILE_BLOCK = 512  # rows of the pairwise antitone check held at a time
+
+
 def token_profile(
     seq: PhonemeSequence, tokens: TransitionTokens, score: Score | None = None
 ) -> dict:
@@ -236,11 +239,11 @@ def token_profile(
         )
     d = np.array(seq.target_frames, dtype=np.float64)
     q = tokens.q
+    q_tol = q + 1e-12
     violations = 0
-    for i in range(len(d)):
-        for j in range(len(d)):
-            if d[i] >= d[j] and q[i] > q[j] + 1e-12:
-                violations += 1
+    for lo in range(0, d.size, _PROFILE_BLOCK):  # pairs (i, j), a block of rows i at a time
+        i = slice(lo, lo + _PROFILE_BLOCK)
+        violations += int(np.count_nonzero((d[i, None] >= d) & (q[i, None] > q_tol)))
     return {"rows": rows, "antitone_violations": violations, "antitone": violations == 0}
 
 

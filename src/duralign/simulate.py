@@ -19,12 +19,11 @@ from .attention import (
     AlignmentMatrix,
     EnergyParams,
     StepOptions,
+    _step,
+    _weights,
     content_energies,
     context_vector,
-    fa_step,
-    gdca_step,
     init_alignment,
-    la_step,
     normalize_energies,
 )
 from .score import PhonemeSequence
@@ -129,6 +128,46 @@ def _step_rng(seed: int, t: int) -> np.random.Generator:
     return np.random.default_rng([seed, t])
 
 
+_ENERGY_BLOCK = 128  # synthetic energy rows built at a time
+
+
+class _SynthRows:
+    """Energy rows of a precomputable mode for one run.  The frame
+    bounds and the step-sorted spike schedule are built, and the spike
+    phonemes range-checked, once; rows are then built in blocks."""
+
+    def __init__(self, d: np.ndarray, spec: SynthEnergySpec, seed: int):
+        if spec.mode == "from_query_generator":
+            raise ValueError("query-generator energies are stateful; use QueryGenerator")
+        self.bounds = np.cumsum(np.asarray(d, dtype=np.float64))
+        self.spec, self.seed = spec, seed
+        self.noisy = spec.mode != "oracle_diagonal" and spec.noise_sigma > 0
+        schedule = spec.spike_schedule if spec.mode == "adversarial_spike" else ()
+        steps, phonemes = np.array(schedule, dtype=np.int64).reshape(-1, 2).T
+        bad = (phonemes < 0) | (phonemes >= self.bounds.size)
+        if bad.any():
+            raise ValueError(f"spike schedule references phoneme {phonemes[bad][0]} out of range")
+        order = np.argsort(steps, kind="stable")  # keeps schedule order within a step
+        self.spike_steps, self.spike_phonemes = steps[order], phonemes[order]
+
+    def rows(self, t0: int, t1: int) -> np.ndarray:
+        """Normalized energy rows for decoder steps t0 .. t1-1."""
+        n = self.bounds.size
+        target = np.minimum(np.searchsorted(self.bounds, np.arange(t0, t1), side="right"), n - 1)
+        raw = -self.spec.sharpness * np.abs(np.arange(n) - target[:, None]).astype(np.float64)
+        if self.noisy:
+            for i, t in enumerate(range(t0, t1)):
+                raw[i] += _step_rng(self.seed, t).normal(0.0, self.spec.noise_sigma, n)
+        lo, hi = np.searchsorted(self.spike_steps, [t0, t1])
+        np.add.at(raw, (self.spike_steps[lo:hi] - t0, self.spike_phonemes[lo:hi]), self.spec.spike_magnitude)
+        return normalize_energies(raw)
+
+    def stream(self, limit: int):
+        """Rows for steps 0 .. limit-1, one block built at a time."""
+        for t0 in range(0, limit, _ENERGY_BLOCK):
+            yield from self.rows(t0, min(t0 + _ENERGY_BLOCK, limit))
+
+
 def synth_energies(
     d: np.ndarray, spec: SynthEnergySpec, seed: int, t: int
 ) -> np.ndarray:
@@ -138,23 +177,7 @@ def synth_energies(
     handled here; the query-feedback mode lives in QueryGenerator
     because it carries state.
     """
-    if spec.mode == "from_query_generator":
-        raise ValueError("query-generator energies are stateful; use QueryGenerator")
-    d = np.asarray(d, dtype=np.float64)
-    n = d.size
-    target = phoneme_at_frame(d, t)
-    raw = -spec.sharpness * np.abs(np.arange(n) - target).astype(np.float64)
-    if spec.mode == "noisy_diagonal" and spec.noise_sigma > 0:
-        raw = raw + _step_rng(seed, t).normal(0.0, spec.noise_sigma, n)
-    if spec.mode == "adversarial_spike":
-        if spec.noise_sigma > 0:
-            raw = raw + _step_rng(seed, t).normal(0.0, spec.noise_sigma, n)
-        for step, phoneme in spec.spike_schedule:
-            if not 0 <= phoneme < n:
-                raise ValueError(f"spike schedule references phoneme {phoneme} out of range")
-            if step == t:
-                raw[phoneme] += spec.spike_magnitude
-    return normalize_energies(raw)
+    return _SynthRows(d, spec, seed).rows(t, t + 1)[0]
 
 
 class QueryGenerator:
@@ -172,7 +195,7 @@ class QueryGenerator:
         self.B = rng.normal(0.0, 0.4, (dim, dim))
         self.m = rng.normal(0.0, 1.0, dim)
 
-    def energies(self, p_prev: AlignmentDistribution) -> np.ndarray:
+    def energies(self, p_prev: AlignmentDistribution | np.ndarray) -> np.ndarray:
         c = context_vector(p_prev, self.keys)
         self.m = np.tanh(self.A @ self.m + self.B @ c)
         return normalize_energies(content_energies(self.params, self.m, self.keys))
@@ -195,36 +218,24 @@ def run_simulation(
         else np.asarray(seq, dtype=np.float64)
     )
     n = d.size
-    if cfg.opts.mechanism == "gdca":
-        if tokens is None or len(tokens) != n:
-            raise ValueError("gdca needs tokens matching the phoneme count")
-
+    move, stay = _weights(cfg.opts.mechanism, tokens, n, cfg.opts.convention)
+    limit = cfg.fixed_steps if cfg.fixed_steps is not None else cfg.max_steps
     qgen = QueryGenerator(n, cfg.seed) if cfg.energy.mode == "from_query_generator" else None
-    dist = init_alignment(n)
+    energies = _SynthRows(d, cfg.energy, cfg.seed).stream(limit) if qgen is None else None
+
+    p = init_alignment(n).p
     rows: list[np.ndarray] = []
     parked = 0
-    stopped_by = "max_steps"
-    limit = cfg.fixed_steps if cfg.fixed_steps is not None else cfg.max_steps
-    for t in range(limit):
-        if qgen is not None:
-            e = qgen.energies(dist)
-        else:
-            e = synth_energies(d, cfg.energy, cfg.seed, t)
-        if cfg.opts.mechanism == "gdca":
-            dist = gdca_step(dist, tokens, e, cfg.opts)
-        elif cfg.opts.mechanism == "fa":
-            dist = fa_step(dist, e, cfg.opts)
-        else:
-            dist = la_step(e, dist, cfg.opts)
-        rows.append(dist.p)
+    stopped_by = "fixed" if cfg.fixed_steps is not None else "max_steps"
+    for _ in range(limit):
+        e = qgen.energies(p) if qgen is not None else next(energies)
+        p = _step(p, e, move, stay, cfg.opts)[0]
+        rows.append(p)
         if cfg.fixed_steps is None:
-            parked = parked + 1 if int(np.argmax(dist.p)) == n - 1 else 0
+            parked = parked + 1 if int(np.argmax(p)) == n - 1 else 0
             if parked >= cfg.stop_patience:
                 stopped_by = "parked"
                 break
-    else:
-        if cfg.fixed_steps is not None:
-            stopped_by = "fixed"
 
     alignment = AlignmentMatrix(probs=np.vstack(rows))
     realized, monotone = realized_durations(alignment)

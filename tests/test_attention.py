@@ -102,6 +102,11 @@ class TestContainers:
         with pytest.raises(ValueError):
             AlignmentDistribution(p=np.array([1.5, -0.5]))
 
+    @pytest.mark.parametrize("bad", [[np.nan, 0.5], [np.nan, 1.0], [np.inf, 0.0], [1.0, -np.inf]])
+    def test_distribution_rejects_nonfinite(self, bad):
+        with pytest.raises(ValueError, match="non-finite"):
+            AlignmentDistribution(p=np.array(bad))
+
     @pytest.mark.parametrize(
         "kwargs",
         [
@@ -198,6 +203,21 @@ class TestGdcaStep:
     def test_length_mismatch(self):
         with pytest.raises(ValueError):
             gdca_step(init_alignment(3), TransitionTokens(q=np.full(2, 0.5)), uniform(3))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_step_functions_reject_nonfinite_energy(bad):
+    p0 = init_alignment(3)
+    e = np.array([0.5, bad, 0.5])
+    q = TransitionTokens(q=np.full(3, 0.5))
+    for step in (
+        lambda: gdca_step(p0, q, e),
+        lambda: fa_step(p0, e),
+        lambda: la_step(e),
+        lambda: la_step(e, p0, StepOptions(mechanism="la", filter_enabled=True)),
+    ):
+        with pytest.raises(ValueError, match="non-finite energy"):
+            step()
 
 
 class TestFaStep:
@@ -316,6 +336,13 @@ class TestLatticeForward:
         la = lattice_forward(None, E, StepOptions(mechanism="la"))
         assert fa.probs.shape == la.probs.shape == (7, 4)
         assert np.allclose(la.probs[1:], E, atol=1e-15)
+
+    @pytest.mark.parametrize("normalize", [False, True])
+    def test_rejects_nonfinite_energy_matrix(self, normalize):
+        E = np.full((5, 4), 0.25)
+        E[3, 2] = np.nan
+        with pytest.raises(ValueError, match="non-finite energy"):
+            lattice_forward(TransitionTokens(q=np.full(4, 0.5)), E, normalize=normalize)
 
     def test_gdca_requires_tokens(self):
         with pytest.raises(ValueError):

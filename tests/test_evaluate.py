@@ -2,6 +2,8 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from duralign.attention import AlignmentMatrix
 from duralign.evaluate import (
@@ -15,7 +17,8 @@ from duralign.evaluate import (
     tempo_sweep,
     token_profile,
 )
-from duralign.score import expand_to_phonemes, parse_score_native
+from duralign import evaluate
+from duralign.score import PhonemeEvent, PhonemeSequence, expand_to_phonemes, parse_score_native
 from duralign.simulate import SimConfig
 from duralign.tokens import TransitionTokens, oracle_tokens
 
@@ -114,6 +117,40 @@ class TestTokenProfile:
         profile = token_profile(seq, TransitionTokens(q=q))
         assert not profile["antitone"]
         assert profile["antitone_violations"] > 0
+
+
+def _looped_violations(d, q):
+    return sum(
+        1 for i in range(len(d)) for j in range(len(d)) if d[i] >= d[j] and q[i] > q[j] + 1e-12
+    )
+
+
+# Few distinct values so that durations and tokens tie often; the token
+# pairs 0.5 / 0.5 + 5e-13 / 0.5 + 2e-12 sit on both sides of the 1e-12 slack.
+_TOKENS = (0.1, 0.25, 0.5, 0.5 + 5e-13, 0.5 + 2e-12, 1.0)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.lists(st.tuples(st.integers(1, 4), st.sampled_from(_TOKENS)), min_size=1, max_size=40),
+    st.sampled_from([1, 3, 7, 512]),
+)
+def test_token_profile_counts_like_the_double_loop(pairs, block):
+    d = [f for f, _ in pairs]
+    q = np.array([t for _, t in pairs])
+    events = tuple(
+        PhonemeEvent(phoneme=f"p{i}", pitch=60, duration_s=0.01 * f, target_frames=f, note_index=i)
+        for i, f in enumerate(d)
+    )
+    old_block = evaluate._PROFILE_BLOCK
+    evaluate._PROFILE_BLOCK = block  # exercise row blocks smaller than N
+    try:
+        profile = token_profile(PhonemeSequence(events=events), TransitionTokens(q=q))
+    finally:
+        evaluate._PROFILE_BLOCK = old_block
+    expected = _looped_violations(np.array(d, dtype=np.float64), q)
+    assert profile["antitone_violations"] == expected
+    assert profile["antitone"] == (expected == 0)
 
 
 class TestAdversarialFamily:

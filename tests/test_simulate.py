@@ -63,6 +63,12 @@ class TestSynthEnergies:
         assert int(np.argmax(spiked)) == 2
         assert int(np.argmax(plain)) == 0
 
+    def test_repeated_spike_adds_each_time(self):
+        d = np.array([5.0, 5.0, 5.0])
+        twice = SynthEnergySpec(mode="adversarial_spike", spike_magnitude=3.0, spike_schedule=((2, 2), (2, 2)))
+        double = SynthEnergySpec(mode="adversarial_spike", spike_magnitude=6.0, spike_schedule=((2, 2),))
+        assert np.allclose(synth_energies(d, twice, 0, 2), synth_energies(d, double, 0, 2), rtol=0, atol=1e-15)
+
     def test_spike_out_of_range_rejected(self):
         d = np.array([5.0, 5.0])
         spec = SynthEnergySpec(mode="adversarial_spike", spike_schedule=((0, 9),))
