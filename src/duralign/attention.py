@@ -20,6 +20,15 @@ public ``gdca_step``/``fa_step``/``la_step`` validate and delegate to it.
 With q = 0.5 everywhere the gdca weights are exactly half the fa
 weights (including the absorbing boundary), so the two mechanisms agree
 bit-for-bit after normalization.
+
+``lattice_forward`` also takes a leading batch axis: tokens of shape
+(B, N), energies of shape (B, T, N), or both, with an unbatched side
+shared by every sequence; the result is (B, T+1, N).  The batch runs the
+same kernel, laid out phoneme-first as (N, B) columns.  It supports
+neither the window filter nor the backward cache.  The kernel's
+normalizer then sums down each column in sequence where a single row is
+summed pairwise, so a batched sequence matches its unbatched run bit for
+bit only for N < 8, and to rounding (about 1e-13 at N = 256) above.
 """
 
 from __future__ import annotations
@@ -167,26 +176,27 @@ class AlignmentDistribution:
 
 @dataclass
 class AlignmentMatrix:
-    """Rows are decoder steps, columns are phonemes."""
+    """Rows are decoder steps, columns are phonemes; a batch of B
+    alignments stacks them on a leading axis."""
 
-    probs: np.ndarray  # (T, N)
+    probs: np.ndarray  # (T, N) or (B, T, N)
     cache: "LatticeCache | None" = None
 
     def __post_init__(self):
         self.probs = np.asarray(self.probs, dtype=np.float64)
-        if self.probs.ndim != 2:
-            raise ValueError("alignment matrix must be 2-D")
+        if self.probs.ndim not in (2, 3):
+            raise ValueError("alignment matrix must be 2-D, or 3-D for a batch")
 
     @property
     def n_steps(self) -> int:
-        return self.probs.shape[0]
+        return self.probs.shape[-2]
 
     @property
     def n_phonemes(self) -> int:
-        return self.probs.shape[1]
+        return self.probs.shape[-1]
 
     def argmax_path(self) -> np.ndarray:
-        return np.argmax(self.probs, axis=1)
+        return np.argmax(self.probs, axis=-1)
 
 
 @dataclass(frozen=True)
@@ -226,11 +236,11 @@ def _shift_weights(q: np.ndarray, convention: str) -> tuple[np.ndarray, np.ndarr
 
     move[n] multiplies p_{t-1}(n-1) (move[0] is unused); stay[n]
     multiplies p_{t-1}(n).  The final stay weight absorbs the outgoing
-    move weight so the step conserves mass.
+    move weight so the step conserves mass.  ``q`` is (N,) or, for a
+    batch, phoneme-first (N, B); the weights take its shape.
     """
-    n = q.size
-    move = np.empty(n)
-    stay = np.empty(n)
+    move = np.empty(q.shape)
+    stay = np.empty(q.shape)
     if convention == "prose":
         move[1:] = q[:-1]
         stay[:] = 1.0 - q
@@ -244,15 +254,16 @@ def _shift_weights(q: np.ndarray, convention: str) -> tuple[np.ndarray, np.ndarr
 
 def _weights(mechanism: str, q: TransitionTokens | None, n: int, convention: str = "prose") -> tuple:
     """Move/stay weights of a mechanism over n phonemes, built once per
-    run; the one place that dispatches on the mechanism.  la has none."""
+    run; the one place that dispatches on the mechanism.  la has none.
+    Batched (B, N) tokens give phoneme-first (N, B) weights."""
     if mechanism == "la":
         return None, None
     if mechanism == "fa":  # gdca at q = 0.5, doubled: move 1, stay 1, final stay 2
         move, stay = _shift_weights(np.full(n, 0.5), "prose")
         return 2.0 * move, 2.0 * stay
-    if q is None or q.q.size != n:
+    if q is None or len(q) != n:
         raise ValueError("gdca needs tokens matching the phoneme count")
-    return _shift_weights(q.q, convention)
+    return _shift_weights(q.q.T, convention)
 
 
 def _step(p: np.ndarray, e: np.ndarray, move: np.ndarray | None, stay: np.ndarray | None, opts: StepOptions) -> tuple:
@@ -260,7 +271,9 @@ def _step(p: np.ndarray, e: np.ndarray, move: np.ndarray | None, stay: np.ndarra
     recursion, content, normalize.  ``move`` None is la, whose
     pre-content vector is 1 (or the window mask).  Returns
     (p_next, a, s); the pre-content vector a and the normalizer s are
-    what the backward cache keeps."""
+    what the backward cache keeps.  ``p`` and ``e`` may also be
+    phoneme-first (N, B) batches, with (N, B) or shared (N, 1) weights;
+    s is then one normalizer per column."""
     if opts.filter_enabled:
         mask = window_mask(p.size, int(np.argmax(p)), opts.window_width, opts.window_shape)
     if move is None:
@@ -271,8 +284,9 @@ def _step(p: np.ndarray, e: np.ndarray, move: np.ndarray | None, stay: np.ndarra
         a = stay * p
         a[1:] += move[1:] * p[:-1]
     b = a * e
-    s = b.sum()
-    if s < 1e-300:
+    s = b.sum(axis=0)
+    low = s < 1e-300
+    if low.any() if low.ndim else low:  # a scalar's .any() costs a microsecond
         raise FloatingPointError("alignment normalizer underflowed; inconsistent filter/energy combination")
     return b / s, a, s
 
@@ -317,7 +331,7 @@ def gdca_step(
 ) -> AlignmentDistribution:
     """One duration-controlled step: filter, recursion, content, normalize."""
     e = _finite_energy(e_norm)
-    if p_prev.p.size != q.q.size or p_prev.p.size != e.size:
+    if q.q.shape != (e.size,) or p_prev.p.size != e.size:
         raise ValueError("length mismatch between alignment, tokens, and energies")
     move, stay = _weights("gdca", q, e.size, opts.convention)
     return AlignmentDistribution(p=_step(p_prev.p, e, move, stay, opts)[0], step=p_prev.step + 1)
@@ -389,25 +403,45 @@ def lattice_forward(
     the stepped alignments.  ``normalize=True`` applies the stable
     softmax to each energy row first.  A cache for the backward pass is
     recorded only for the unfiltered gdca mechanism.
+
+    Batched tokens (q of shape (B, N)) or batched energies (B, T, N), or
+    both, run B sequences in one pass and give probs of shape
+    (B, T+1, N); an unbatched side is shared by every sequence.  A batch
+    runs neither the window filter nor the backward cache.
     """
     energies = _finite_energy(energies)
-    if energies.ndim != 2:
-        raise ValueError("energies must be a (T, N) matrix")
-    t_steps, n = energies.shape
+    if energies.ndim not in (2, 3):
+        raise ValueError("energies must be a (T, N) matrix or a (B, T, N) batch")
+    t_steps, n = energies.shape[-2:]
     if normalize:
         energies = normalize_energies(energies)
-    rows = np.empty((t_steps + 1, n))
-    rows[0] = init_alignment(n).p
+    p0 = init_alignment(n).p
     move, stay = _weights(opts.mechanism, q, n, opts.convention)
     if keep_cache and (opts.mechanism != "gdca" or opts.filter_enabled):
         raise ValueError("backward cache requires unfiltered gdca")
+    q_batch = q.q.shape[0] if q is not None and q.q.ndim == 2 else None
+    batch = energies.shape[0] if energies.ndim == 3 else q_batch
+    if q_batch is not None and q_batch != batch:
+        raise ValueError(f"batch sizes differ: {q_batch} token rows, {batch} energy matrices")
+    if batch is not None:
+        if opts.filter_enabled or keep_cache:
+            raise ValueError("a batched lattice runs neither the window filter nor the backward cache")
+        # phoneme-first (N, B) columns, so the kernel runs unchanged
+        p0 = p0[:, None]
+        energies = np.ascontiguousarray(energies.transpose(1, 2, 0)) if energies.ndim == 3 else energies[..., None]
+        if move is not None and move.ndim == 1:
+            move, stay = move[:, None], stay[:, None]
 
+    rows = np.empty((t_steps + 1, n) if batch is None else (t_steps + 1, n, batch))
+    rows[0] = p0
     a_rows = np.empty((t_steps, n)) if keep_cache else None
-    sums = np.empty(t_steps)
+    sums = np.empty((t_steps,) + rows.shape[2:])
     for t in range(t_steps):
         rows[t + 1], a, sums[t] = _step(rows[t], energies[t], move, stay, opts)
         if keep_cache:
             a_rows[t] = a
+    if batch is not None:
+        return AlignmentMatrix(probs=np.ascontiguousarray(rows.transpose(2, 0, 1)))
     cache = LatticeCache(q.q.copy(), energies.copy(), rows, a_rows, sums, opts.convention) if keep_cache else None
     return AlignmentMatrix(probs=rows, cache=cache)
 
@@ -461,6 +495,8 @@ def pure_lattice_occupancy(q: TransitionTokens | np.ndarray, horizon: int) -> np
     passes the point of numerical absorption.
     """
     qv = q.q if isinstance(q, TransitionTokens) else np.asarray(q, dtype=np.float64)
+    if qv.ndim != 1:
+        raise ValueError("occupancy takes one (N,) token vector, not a batch")
     n = qv.size
     p = np.zeros(n)
     p[0] = 1.0
@@ -477,8 +513,15 @@ def pure_lattice_occupancy(q: TransitionTokens | np.ndarray, horizon: int) -> np
 # Exports
 
 
+def _single(alignment: AlignmentMatrix) -> tuple[int, int]:
+    if alignment.probs.ndim != 2:
+        raise ValueError("exports take one (T, N) alignment, not a batch")
+    return alignment.probs.shape
+
+
 def alignment_to_csv(alignment: AlignmentMatrix) -> str:
     """CSV export: one ``t,n,p`` line per lattice cell."""
+    _single(alignment)
     lines = ["t,n,p"]
     for t, row in enumerate(alignment.probs):
         for n, p in enumerate(row):
@@ -489,7 +532,7 @@ def alignment_to_csv(alignment: AlignmentMatrix) -> str:
 def alignment_to_pgm(alignment: AlignmentMatrix) -> bytes:
     """Binary PGM (P5): one image row per decoder step, one column per
     phoneme, pixel value round(255 * p)."""
-    t, n = alignment.probs.shape
+    t, n = _single(alignment)
     pixels = np.clip(np.rint(alignment.probs * 255.0), 0, 255).astype(np.uint8)
     header = f"P5\n{n} {t}\n255\n".encode("ascii")
     return header + pixels.tobytes()

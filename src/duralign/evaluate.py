@@ -218,7 +218,7 @@ def token_profile(
 ) -> dict:
     """Per-phoneme table of durations vs token values, with the
     duration-antitone check (larger duration => smaller token)."""
-    if len(seq) != len(tokens):
+    if tokens.q.shape != (len(seq),):
         raise ValueError("sequence/token length mismatch")
     rows = []
     for i, ev in enumerate(seq.events):

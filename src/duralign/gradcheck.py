@@ -30,20 +30,24 @@ class GradCheckResult:
 
 
 def central_difference(fn, x: np.ndarray, step: float = FD_STEP) -> np.ndarray:
-    """Central finite-difference gradient of a scalar function."""
+    """Central finite-difference gradient of a scalar loss, from one
+    call of ``fn`` on a stack of all 2 * x.size perturbed points.
+
+    Row 2i of the stack is x with x[i] + step, row 2i + 1 is x with
+    x[i] - step (i in ravel order); ``fn`` maps the (2 * x.size,
+    *x.shape) stack to the vector of the rows' losses.  The stack holds
+    O(x.size ** 2) floats, so this is meant for small checks.
+    """
     x = np.asarray(x, dtype=np.float64)
-    grad = np.zeros_like(x)
     flat = x.ravel()
-    gflat = grad.ravel()
-    for i in range(flat.size):
-        orig = flat[i]
-        flat[i] = orig + step
-        up = fn(x)
-        flat[i] = orig - step
-        down = fn(x)
-        flat[i] = orig
-        gflat[i] = (up - down) / (2.0 * step)
-    return grad
+    k = np.arange(flat.size)
+    points = np.tile(flat, (2 * flat.size, 1))
+    points[2 * k, k] = flat + step
+    points[2 * k + 1, k] = flat - step
+    losses = np.asarray(fn(points.reshape((-1,) + x.shape)), dtype=np.float64)
+    if losses.shape != (2 * flat.size,):
+        raise ValueError("fn must return one loss per stacked point")
+    return ((losses[0::2] - losses[1::2]) / (2.0 * step)).reshape(x.shape)
 
 
 def relative_error(analytic: np.ndarray, numeric: np.ndarray) -> float:
@@ -91,7 +95,7 @@ def check_energy_gradients(seed: int, step: float = FD_STEP, corrupt: bool = Fal
         p = attention.EnergyParams(W=arrays[0], V=arrays[1], v=arrays[2], b=arrays[3])
         return float(np.dot(upstream, attention.content_energies(p, query, keys)))
 
-    numeric = central_difference(loss, theta0.copy(), step)
+    numeric = central_difference(lambda thetas: [loss(theta) for theta in thetas], theta0, step)
     err = relative_error(analytic, numeric)
     return GradCheckResult("energies", err, step, err <= 1e-5)
 
@@ -127,14 +131,16 @@ def check_encoder_gradients(seed: int, step: float = FD_STEP, corrupt: bool = Fa
         q = tokens.encoder_forward(p, feats).q
         return float(np.dot(upstream, q))
 
-    numeric = central_difference(loss, theta0.copy(), step)
+    numeric = central_difference(lambda thetas: [loss(theta) for theta in thetas], theta0, step)
     err = relative_error(analytic, numeric)
     return GradCheckResult("encoder", err, step, err <= 1e-5)
 
 
 def check_lattice_gradients(seed: int, step: float = FD_STEP, corrupt: bool = False) -> GradCheckResult:
     """Check lattice reverse-mode gradients (dq and dE) with a
-    duration-matching occupancy loss."""
+    duration-matching occupancy loss.  The finite differences run as two
+    batched forward passes: one over the perturbed tokens, one over the
+    perturbed energies."""
     rng = np.random.default_rng(seed)
     n, t_steps = 4, 12
     d = rng.integers(2, 6, n).astype(np.float64)
@@ -144,30 +150,22 @@ def check_lattice_gradients(seed: int, step: float = FD_STEP, corrupt: bool = Fa
     )
     opts = attention.StepOptions(mechanism="gdca", convention="prose")
 
-    def run(qv: np.ndarray, e: np.ndarray):
-        mat = attention.lattice_forward(
-            tokens.TransitionTokens(q=qv), e, opts, keep_cache=True
-        )
-        occupancy = mat.probs.sum(axis=0)
-        loss = float(np.sum((occupancy - d) ** 2))
-        d_probs = np.tile(2.0 * (occupancy - d), (t_steps + 1, 1))
-        return loss, mat, d_probs
-
-    _, mat, d_probs = run(q0, energies)
+    mat = attention.lattice_forward(tokens.TransitionTokens(q=q0), energies, opts, keep_cache=True)
+    occupancy = mat.probs.sum(axis=0)
+    d_probs = np.tile(2.0 * (occupancy - d), (t_steps + 1, 1))
     dq, d_energies = attention.lattice_backward(mat, d_probs)
     analytic = _pack(dq, d_energies)
     if corrupt:
         analytic = analytic + 1e-2
 
-    def loss_q(qv: np.ndarray) -> float:
-        return run(qv, energies)[0]
-
-    def loss_e(e_flat: np.ndarray) -> float:
-        return run(q0, e_flat.reshape(t_steps, n))[0]
+    def loss(qv: np.ndarray, e: np.ndarray) -> np.ndarray:
+        """Occupancy loss of each sequence in a batched forward pass."""
+        probs = attention.lattice_forward(tokens.TransitionTokens(q=qv), e, opts).probs
+        return np.sum((probs.sum(axis=-2) - d) ** 2, axis=-1)
 
     numeric = _pack(
-        central_difference(loss_q, q0.copy(), step),
-        central_difference(loss_e, energies.copy().ravel(), step).reshape(t_steps, n),
+        central_difference(lambda qs: loss(qs, energies), q0, step),
+        central_difference(lambda es: loss(q0, es), energies, step),
     )
     err = relative_error(analytic, numeric)
     return GradCheckResult("lattice", err, step, err <= 1e-5)

@@ -78,6 +78,8 @@ class SimConfig:
             raise ValueError("max_steps must be >= 1")
         if self.stop_patience < 1:
             raise ValueError("stop_patience must be >= 1")
+        if self.fixed_steps is not None and self.fixed_steps < 1:
+            raise ValueError("fixed_steps must be >= 1")
 
 
 @dataclass
@@ -217,6 +219,10 @@ def run_simulation(
         if isinstance(seq, PhonemeSequence)
         else np.asarray(seq, dtype=np.float64)
     )
+    if not np.all(np.isfinite(d) & (d > 0)):
+        raise ValueError("durations must be finite and positive")
+    if tokens is not None and tokens.q.ndim != 1:
+        raise ValueError("run_simulation takes one (N,) token vector, not a batch")
     n = d.size
     move, stay = _weights(cfg.opts.mechanism, tokens, n, cfg.opts.convention)
     limit = cfg.fixed_steps if cfg.fixed_steps is not None else cfg.max_steps

@@ -42,18 +42,19 @@ _FEATURE_SCALE = np.array([1.0, 0.01, 0.25])
 
 @dataclass(frozen=True)
 class TransitionTokens:
-    q: np.ndarray  # shape (N,), each element in (0, 1]
+    q: np.ndarray  # shape (N,), or (B, N) for a batched lattice; each element in (0, 1]
 
     def __post_init__(self):
         q = np.asarray(self.q, dtype=np.float64)
         object.__setattr__(self, "q", q)
-        if q.ndim != 1 or q.size == 0:
-            raise ValueError("q must be a non-empty vector")
+        if q.ndim not in (1, 2) or q.size == 0:
+            raise ValueError("q must be a non-empty (N,) vector or (B, N) batch")
         if not np.all((q > 0) & (q <= 1)):
             raise ValueError("transition tokens must lie in (0, 1]")
 
     def __len__(self) -> int:
-        return self.q.size
+        """The phoneme count N, also for a batch."""
+        return self.q.shape[-1]
 
 
 @dataclass(frozen=True)
@@ -264,7 +265,7 @@ def train_encoder(
 
 def tokens_to_csv(seq: PhonemeSequence, tokens: TransitionTokens) -> str:
     """CSV export: index,phoneme,d_frames,q."""
-    if len(seq) != len(tokens):
+    if tokens.q.shape != (len(seq),):
         raise ValueError("sequence/token length mismatch")
     out = io.StringIO()
     out.write("index,phoneme,d_frames,q\n")

@@ -380,6 +380,119 @@ class TestLatticeForward:
             assert mat.probs[t, 0] >= 1.0 - t * q_min - 1e-12
 
 
+def batch_problem(seed, n, t_steps=9, batch=5):
+    rng = np.random.default_rng(seed)
+    q = rng.uniform(0.1, 0.9, (batch, n))
+    energies = normalize_energies(rng.normal(0.0, 1.0, (batch, t_steps, n)))
+    return q, energies
+
+
+def looped_forward(q, energies, opts, normalize=False):
+    """Reference for a batched lattice_forward: one unbatched call per sequence."""
+    batch = q.shape[0] if q.ndim == 2 else energies.shape[0]
+    return np.stack(
+        [
+            lattice_forward(
+                TransitionTokens(q=q[i] if q.ndim == 2 else q),
+                energies[i] if energies.ndim == 3 else energies,
+                opts,
+                normalize=normalize,
+            ).probs
+            for i in range(batch)
+        ]
+    )
+
+
+BATCH_OPTS = {
+    "gdca": StepOptions(),
+    "gdca-eq3": StepOptions(convention="eq3-literal"),
+    "fa": StepOptions(mechanism="fa"),
+    "la": StepOptions(mechanism="la"),
+}
+
+
+def batched_sides(q, energies, side):
+    """Keep the batch on the tokens, the energies, or both."""
+    if side == "tokens":
+        return q, energies[0]
+    if side == "energies":
+        return q[0], energies
+    return q, energies
+
+
+class TestLatticeBatch:
+    @pytest.mark.parametrize("side", ["tokens", "energies", "both"])
+    @pytest.mark.parametrize("name", list(BATCH_OPTS))
+    def test_equals_unbatched_loop_below_eight_phonemes(self, name, side):
+        q, energies = batched_sides(*batch_problem(0, 4), side)
+        mat = lattice_forward(TransitionTokens(q=q), energies, BATCH_OPTS[name])
+        assert mat.probs.shape == (5, 10, 4)
+        assert np.array_equal(mat.probs, looped_forward(q, energies, BATCH_OPTS[name]))
+
+    @pytest.mark.parametrize("n", [14, 64])
+    @pytest.mark.parametrize("side", ["tokens", "energies", "both"])
+    @pytest.mark.parametrize("name", list(BATCH_OPTS))
+    def test_matches_unbatched_loop_to_rounding(self, name, side, n):
+        q, energies = batched_sides(*batch_problem(n, n, t_steps=3 * n), side)
+        mat = lattice_forward(TransitionTokens(q=q), energies, BATCH_OPTS[name])
+        np.testing.assert_allclose(mat.probs, looped_forward(q, energies, BATCH_OPTS[name]), rtol=1e-12)
+
+    def test_normalize_flag(self):
+        q, energies = batch_problem(1, 4)
+        raw = np.log(energies) + 3.0
+        mat = lattice_forward(TransitionTokens(q=q), raw, normalize=True)
+        assert np.array_equal(mat.probs, looped_forward(q, raw, StepOptions(), normalize=True))
+
+    def test_matrix_reads_last_two_axes(self):
+        q, energies = batch_problem(2, 4)
+        mat = lattice_forward(TransitionTokens(q=q), energies)
+        assert (mat.n_steps, mat.n_phonemes) == (10, 4)
+        assert mat.cache is None
+        assert np.array_equal(mat.argmax_path(), np.argmax(mat.probs, axis=2))
+
+    @pytest.mark.parametrize(
+        "opts, keep_cache",
+        [(StepOptions(filter_enabled=True), False), (StepOptions(), True)],
+        ids=["filter", "cache"],
+    )
+    @pytest.mark.parametrize("side", ["tokens", "energies"])
+    def test_rejects_filter_and_cache(self, opts, keep_cache, side):
+        q, energies = batched_sides(*batch_problem(3, 4), side)
+        with pytest.raises(ValueError, match="neither the window filter nor the backward cache"):
+            lattice_forward(TransitionTokens(q=q), energies, opts, keep_cache=keep_cache)
+
+    def test_underflow_in_one_sequence_raises(self):
+        q, energies = batch_problem(7, 4)
+        energies[2, 3] = 0.0
+        with pytest.raises(FloatingPointError, match="underflowed"):
+            lattice_forward(TransitionTokens(q=q), energies)
+
+    def test_rejects_mismatched_batch_sizes(self):
+        q, energies = batch_problem(4, 4)
+        with pytest.raises(ValueError, match="batch sizes differ"):
+            lattice_forward(TransitionTokens(q=q[:3]), energies)
+
+    def test_rejects_wrong_length_batched_tokens(self):
+        q, energies = batch_problem(5, 4)
+        with pytest.raises(ValueError, match="matching the phoneme count"):
+            lattice_forward(TransitionTokens(q=q[:, :3]), energies[0])
+
+    def test_rejects_three_dimensional_tokens(self):
+        with pytest.raises(ValueError, match=r"\(B, N\) batch"):
+            TransitionTokens(q=np.full((2, 3, 4), 0.5))
+
+    def test_single_sequence_functions_reject_a_batch(self):
+        q, energies = batch_problem(6, 4)
+        with pytest.raises(ValueError, match="length mismatch"):
+            gdca_step(init_alignment(4), TransitionTokens(q=q[:1]), energies[0, 0])
+        with pytest.raises(ValueError, match="not a batch"):
+            pure_lattice_occupancy(TransitionTokens(q=q[:1]), horizon=5)
+        mat = lattice_forward(TransitionTokens(q=q), energies)
+        for export in (alignment_to_csv, alignment_to_pgm):
+            with pytest.raises(ValueError, match="not a batch"):
+                export(mat)
+
+
 class TestOccupancy:
     def test_matches_targets(self):
         d = np.array([5.0, 10.0, 50.0, 100.0])

@@ -135,6 +135,20 @@ class TestSimulate:
         assert code == 2
         assert "window width" in err
 
+    def test_zero_fixed_steps_is_usage_error(self, capsys, fixtures_dir, tmp_path):
+        code, _, err = run(
+            capsys,
+            "simulate",
+            str(fixtures_dir / "ten_notes.json"),
+            "--out",
+            str(tmp_path / "x"),
+            "--fixed-steps",
+            "0",
+        )
+        assert code == 2
+        assert err.startswith("error:")
+        assert "fixed_steps must be >= 1" in err
+
 
 class TestSweep:
     def test_outputs(self, capsys, fixtures_dir, tmp_path):

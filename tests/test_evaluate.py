@@ -118,6 +118,11 @@ class TestTokenProfile:
         assert not profile["antitone"]
         assert profile["antitone_violations"] > 0
 
+    def test_rejects_batched_tokens(self, ten_notes_text):
+        seq = expand_to_phonemes(parse_score_native(ten_notes_text))
+        with pytest.raises(ValueError, match="length mismatch"):
+            token_profile(seq, TransitionTokens(q=np.tile(oracle_tokens(seq).q, (2, 1))))
+
 
 def _looped_violations(d, q):
     return sum(

@@ -155,6 +155,25 @@ class TestRunSimulation:
         with pytest.raises(ValueError):
             run_simulation(np.array([5.0, 5.0]), TransitionTokens(q=np.array([0.5])), SimConfig())
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, 0.0, -3.0])
+    @pytest.mark.parametrize("mechanism", ["gdca", "fa"])
+    def test_rejects_bad_durations(self, bad, mechanism):
+        d = np.array([5.0, bad, 5.0])
+        tokens = TransitionTokens(q=np.full(3, 0.2)) if mechanism == "gdca" else None
+        cfg = SimConfig(opts=StepOptions(mechanism=mechanism), fixed_steps=5)
+        with pytest.raises(ValueError, match="durations must be finite and positive"):
+            run_simulation(d, tokens, cfg)
+
+    def test_rejects_batched_tokens(self):
+        d = np.array([5.0, 5.0])
+        with pytest.raises(ValueError, match="not a batch"):
+            run_simulation(d, TransitionTokens(q=np.full((1, 2), 0.2)), SimConfig(fixed_steps=3))
+
+    @pytest.mark.parametrize("fixed_steps", [0, -2])
+    def test_fixed_steps_must_be_positive(self, fixed_steps):
+        with pytest.raises(ValueError, match="fixed_steps must be >= 1"):
+            SimConfig(fixed_steps=fixed_steps)
+
     def test_bit_identical_reruns(self):
         d = np.array([8.0, 12.0, 6.0])
         cfg = SimConfig(energy=SynthEnergySpec(mode="noisy_diagonal", noise_sigma=0.5), seed=11)
