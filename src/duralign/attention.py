@@ -494,9 +494,11 @@ def pure_lattice_occupancy(q: TransitionTokens | np.ndarray, horizon: int) -> np
     phoneme n converges to the geometric dwell 1/q_n as the horizon
     passes the point of numerical absorption.
     """
-    qv = q.q if isinstance(q, TransitionTokens) else np.asarray(q, dtype=np.float64)
+    qv = q.q if isinstance(q, TransitionTokens) else TransitionTokens(q=q).q
     if qv.ndim != 1:
         raise ValueError("occupancy takes one (N,) token vector, not a batch")
+    if horizon < 0:
+        raise ValueError("negative horizon")
     n = qv.size
     p = np.zeros(n)
     p[0] = 1.0
@@ -516,17 +518,32 @@ def pure_lattice_occupancy(q: TransitionTokens | np.ndarray, horizon: int) -> np
 def _single(alignment: AlignmentMatrix) -> tuple[int, int]:
     if alignment.probs.ndim != 2:
         raise ValueError("exports take one (T, N) alignment, not a batch")
+    if not np.isfinite(alignment.probs).all():
+        raise ValueError("non-finite alignment probability")
     return alignment.probs.shape
 
 
 def alignment_to_csv(alignment: AlignmentMatrix) -> str:
-    """CSV export: one ``t,n,p`` line per lattice cell."""
-    _single(alignment)
-    lines = ["t,n,p"]
-    for t, row in enumerate(alignment.probs):
-        for n, p in enumerate(row):
-            lines.append(f"{t},{n},{float(p)!r}")
-    return "\n".join(lines) + "\n"
+    """CSV export: a ``t,n,p`` header, then one ``t,n,p`` line per lattice
+    cell in row-major order (step t, then phoneme n).  Each probability
+    is written as ``repr(float)``, the shortest text that reads back to
+    the same double; an exact ``+0.0`` is written as ``0.0`` (and
+    ``-0.0`` as ``-0.0``)."""
+    _, n = _single(alignment)
+    if n == 0:
+        return "t,n,p\n"
+    probs = alignment.probs
+    cols = [f"{j}," for j in range(n)]
+    zeros = [c + "0.0" for c in cols]
+    written = (probs != 0.0) | np.signbit(probs)  # every cell but +0.0
+    rows = ["t,n,p\n"]
+    for t, (row, mask) in enumerate(zip(probs.tolist(), written)):
+        cells = zeros.copy()
+        for j in np.flatnonzero(mask).tolist():
+            cells[j] = cols[j] + repr(row[j])
+        lead = f"{t},"
+        rows.append(lead + ("\n" + lead).join(cells) + "\n")
+    return "".join(rows)
 
 
 def alignment_to_pgm(alignment: AlignmentMatrix) -> bytes:

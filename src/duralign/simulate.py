@@ -55,6 +55,9 @@ class SynthEnergySpec:
     def __post_init__(self):
         if self.mode not in ENERGY_MODES:
             raise ValueError(f"unknown energy mode '{self.mode}'")
+        for name in ("noise_sigma", "spike_magnitude", "sharpness"):
+            if not np.isfinite(getattr(self, name)):
+                raise ValueError(f"non-finite {name}")
         if self.noise_sigma < 0:
             raise ValueError("negative noise sigma")
         if self.sharpness <= 0:

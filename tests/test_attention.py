@@ -1,7 +1,10 @@
+import hashlib
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from duralign.attention import (
     AlignmentDistribution,
@@ -23,6 +26,7 @@ from duralign.attention import (
     pure_lattice_occupancy,
     window_mask,
 )
+from duralign.cli import main
 from duralign.tokens import TransitionTokens
 
 
@@ -504,6 +508,15 @@ class TestOccupancy:
         occ = pure_lattice_occupancy(np.array([0.25]), horizon=200)
         assert occ[0] == pytest.approx(4.0, rel=1e-6)
 
+    @pytest.mark.parametrize("q", [[2.0, 0.5], [0.5, math.nan], [0.0, 0.5], [0.5, -0.1]])
+    def test_rejects_raw_tokens_outside_unit_interval(self, q):
+        with pytest.raises(ValueError, match=r"transition tokens must lie in \(0, 1\]"):
+            pure_lattice_occupancy(np.array(q), horizon=5)
+
+    def test_rejects_negative_horizon(self):
+        with pytest.raises(ValueError, match="negative horizon"):
+            pure_lattice_occupancy(np.array([0.5, 0.5]), horizon=-1)
+
 
 class TestLatticeBackward:
     @staticmethod
@@ -571,16 +584,91 @@ class TestLatticeBackward:
             lattice_backward(mat, np.zeros((3, 2)))
 
 
+def per_cell_csv(probs):
+    """The original one-f-string-per-cell formatter, kept as the reference."""
+    lines = ["t,n,p"]
+    for t, row in enumerate(probs):
+        for n, p in enumerate(row):
+            lines.append(f"{t},{n},{float(p)!r}")
+    return "\n".join(lines) + "\n"
+
+
+# Boundaries of repr's switch to exponent notation (1e-4, 1e16), the
+# smallest subnormal and normal, signed zeros and whole-number floats.
+EDGE_CELLS = [
+    -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1e-5, 1e-4, 9.999999999999999e-05,
+    1e15, 1e16, 9999999999999998.0, 1.0, 2.0, -3.0, 1.0000000000000002, 0.1,
+]
+# every finite value but +0.0: the cells the formatter passes to repr
+written_cells = st.one_of(
+    st.sampled_from(EDGE_CELLS), st.floats(allow_nan=False, allow_infinity=False)
+).filter(lambda v: v != 0.0 or math.copysign(1.0, v) < 0)
+any_cells = st.one_of(st.just(0.0), written_cells)
+
+
+@st.composite
+def csv_matrices(draw):
+    t_steps = draw(st.integers(0, 5))
+    n = draw(st.integers(0, 6))
+    rows = [
+        draw(st.one_of(
+            st.just([0.0] * n),  # an all-zero row
+            st.lists(written_cells, min_size=n, max_size=n),  # a fully dense row
+            st.lists(any_cells, min_size=n, max_size=n),
+        ))
+        for _ in range(t_steps)
+    ]
+    return np.array(rows, dtype=np.float64).reshape(t_steps, n)
+
+
 class TestExports:
+    # sha256 of alignment.csv from criterion 12's seeded simulate run on
+    # ten_notes.json, without and with the window filter (which zeroes
+    # cells), recorded with the per-cell formatter.
+    CSV_DIGESTS = [
+        ((), "042b7e5db7e5241032ff1be541cf45383ec27b2bea35ae823f24e98bc0e1ac2d"),
+        (("--filter",), "3e5af432a0844777146bd2e35cef1cb47352ca7f1b67bf3e90398113b38ff256"),
+    ]
+
     def test_csv(self):
         mat = AlignmentMatrix(probs=np.array([[1.0, 0.0], [0.25, 0.75]]))
         lines = alignment_to_csv(mat).splitlines()
         assert lines[0] == "t,n,p"
         assert lines[1] == "0,0,1.0"
+        assert lines[2] == "0,1,0.0"
         assert lines[4] == "1,1,0.75"
+
+    @pytest.mark.parametrize("extra,digest", CSV_DIGESTS)
+    def test_cli_csv_bytes_are_pinned(self, tmp_path, capsys, fixtures_dir, extra, digest):
+        out = tmp_path / "sim"
+        code = main(
+            ["simulate", str(fixtures_dir / "ten_notes.json"), "--out", str(out), "--seed", "7",
+             "--energy", "noisy_diagonal", "--noise-sigma", "0.5", *extra]
+        )
+        capsys.readouterr()
+        assert code == 0
+        assert hashlib.sha256((out / "alignment.csv").read_bytes()).hexdigest() == digest
+
+    @given(csv_matrices())
+    def test_csv_matches_per_cell_formatter(self, probs):
+        assert alignment_to_csv(AlignmentMatrix(probs=probs)) == per_cell_csv(probs)
+
+    @pytest.mark.parametrize("shape", [(0, 0), (0, 3), (3, 0)])
+    def test_empty_csv_is_the_header(self, shape):
+        assert alignment_to_csv(AlignmentMatrix(probs=np.zeros(shape))) == "t,n,p\n"
+
+    def test_negative_zero_is_written_as_such(self):
+        text = alignment_to_csv(AlignmentMatrix(probs=np.array([[-0.0, 0.0]])))
+        assert text == "t,n,p\n0,0,-0.0\n0,1,0.0\n"
 
     def test_pgm(self):
         mat = AlignmentMatrix(probs=np.array([[1.0, 0.0], [0.5, 0.5]]))
         data = alignment_to_pgm(mat)
         assert data.startswith(b"P5\n2 2\n255\n")
         assert data[-4:] == bytes([255, 0, 128, 128])
+
+    @pytest.mark.parametrize("export", [alignment_to_csv, alignment_to_pgm])
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_exports_reject_nonfinite(self, export, bad):
+        with pytest.raises(ValueError, match="non-finite alignment"):
+            export(AlignmentMatrix(probs=np.array([[bad, 1.0]])))

@@ -149,6 +149,24 @@ class TestSimulate:
         assert err.startswith("error:")
         assert "fixed_steps must be >= 1" in err
 
+    @pytest.mark.parametrize("flag,field", [("--noise-sigma", "noise_sigma"), ("--sharpness", "sharpness")])
+    def test_nan_energy_parameter_is_usage_error(self, capsys, fixtures_dir, tmp_path, flag, field):
+        code, _, err = run(
+            capsys,
+            "simulate",
+            str(fixtures_dir / "ten_notes.json"),
+            "--out",
+            str(tmp_path / "x"),
+            "--energy",
+            "noisy_diagonal",
+            flag,
+            "nan",
+        )
+        assert code == 2
+        assert err.startswith("error:")
+        assert f"non-finite {field}" in err
+        assert not (tmp_path / "x").exists()
+
 
 class TestSweep:
     def test_outputs(self, capsys, fixtures_dir, tmp_path):

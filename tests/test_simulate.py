@@ -87,6 +87,12 @@ class TestSynthEnergies:
         with pytest.raises(ValueError):
             SynthEnergySpec(sharpness=0.0)
 
+    @pytest.mark.parametrize("field", ["noise_sigma", "spike_magnitude", "sharpness"])
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
+    def test_spec_rejects_nonfinite(self, field, bad):
+        with pytest.raises(ValueError, match=f"non-finite {field}"):
+            SynthEnergySpec(**{field: bad})
+
 
 class TestQueryGenerator:
     def test_deterministic(self):
