@@ -7,28 +7,29 @@ The final phoneme is absorbing: its outgoing move weight folds back
 into its stay weight, so the pre-normalization step conserves mass.
 
 Three mechanisms share one private step kernel and differ only in the
-move/stay weights, built once per run:
+move/stay weights:
 
 * gdca  - duration-token weights (move q_{n-1}, stay 1-q_n)
 * fa    - token-free forward recursion (move 1, stay 1)
 * la    - content-only (no weights: the energies are the alignment)
 
-Every stepping loop (``lattice_forward``, ``simulate.run_simulation``)
-runs the kernel on raw arrays, with input checked once at entry; the
-public ``gdca_step``/``fa_step``/``la_step`` validate and delegate to it.
-
-With q = 0.5 everywhere the gdca weights are exactly half the fa
-weights (including the absorbing boundary), so the two mechanisms agree
-bit-for-bit after normalization.
+The kernel is built once per run: weights, scratch buffers and the
+window at every offset, so a step's mask is a slice and a step writes
+its row in place.  ``lattice_forward``, ``simulate.run_simulation`` and
+the validating ``gdca_step``/``fa_step``/``la_step`` all step through
+it; la without the filter has no recursion, so the simulator normalizes
+a whole block of energy rows in one call.  With q = 0.5 everywhere the
+gdca weights are exactly half the fa weights (including the absorbing
+boundary), so the two mechanisms agree bit-for-bit after normalization.
 
 ``lattice_forward`` also takes a leading batch axis: tokens of shape
 (B, N), energies of shape (B, T, N), or both, with an unbatched side
 shared by every sequence; the result is (B, T+1, N).  The batch runs the
-same kernel, laid out phoneme-first as (N, B) columns.  It supports
-neither the window filter nor the backward cache.  The kernel's
-normalizer then sums down each column in sequence where a single row is
-summed pairwise, so a batched sequence matches its unbatched run bit for
-bit only for N < 8, and to rounding (about 1e-13 at N = 256) above.
+same kernel, laid out phoneme-first as (N, B) columns, with neither the
+window filter nor the backward cache.  A column is summed in sequence
+where a single row is summed pairwise, so a batched sequence matches its
+unbatched run bit for bit only for N < 8, and to rounding (about 1e-13
+at N = 256) above.
 """
 
 from __future__ import annotations
@@ -36,6 +37,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from numpy import add, divide, multiply
 
 from .tokens import TransitionTokens
 
@@ -252,43 +254,57 @@ def _shift_weights(q: np.ndarray, convention: str) -> tuple[np.ndarray, np.ndarr
     return move, stay
 
 
-def _weights(mechanism: str, q: TransitionTokens | None, n: int, convention: str = "prose") -> tuple:
-    """Move/stay weights of a mechanism over n phonemes, built once per
-    run; the one place that dispatches on the mechanism.  la has none.
-    Batched (B, N) tokens give phoneme-first (N, B) weights."""
-    if mechanism == "la":
-        return None, None
-    if mechanism == "fa":  # gdca at q = 0.5, doubled: move 1, stay 1, final stay 2
-        move, stay = _shift_weights(np.full(n, 0.5), "prose")
-        return 2.0 * move, 2.0 * stay
-    if q is None or len(q) != n:
-        raise ValueError("gdca needs tokens matching the phoneme count")
-    return _shift_weights(q.q.T, convention)
+class _Kernel:
+    """One run's step kernel, for rows of ``shape``: (N,), or (N, B)
+    columns for a batch, with (N, B) or shared (N, 1) weights.  Its
+    constructor is the one place that dispatches on the mechanism."""
 
+    def __init__(self, mechanism: str, q: TransitionTokens | None, opts: StepOptions, shape: tuple):
+        n, self.stay, self.ndim = shape[0], None, len(shape)  # la has no weights
+        if mechanism == "fa":  # gdca at q = 0.5, doubled: move 1, stay 1, final stay 2
+            move, self.stay = (2.0 * w for w in _shift_weights(np.full(n, 0.5), "prose"))
+        elif mechanism == "gdca":
+            if q is None or len(q) != n:
+                raise ValueError("gdca needs tokens matching the phoneme count")
+            move, self.stay = _shift_weights(q.q.T, opts.convention)
+        if self.stay is not None:
+            if self.stay.ndim < self.ndim:
+                move, self.stay = move[:, None], self.stay[:, None]
+            self.move1, self.a, self.head = move[1:], np.empty(shape), np.empty((n - 1,) + shape[1:])
+        self.table, self.lo, self.hi = None, n - 1, 2 * n - 1
+        if opts.filter_enabled:  # the window at offsets 1-n .. n-1: a step's mask is a slice
+            half, offset = opts.window_width // 2, np.abs(np.arange(1 - n, n))
+            taper = 1.0 if opts.window_shape == "rectangular" else 1.0 - offset / (half + 1)
+            self.table = np.where(offset <= half, taper, 0.0)
+        self.whole = self.stay is None and self.table is None  # no recursion: a step takes a block
 
-def _step(p: np.ndarray, e: np.ndarray, move: np.ndarray | None, stay: np.ndarray | None, opts: StepOptions) -> tuple:
-    """The step kernel on raw, already validated arrays: window filter,
-    recursion, content, normalize.  ``move`` None is la, whose
-    pre-content vector is 1 (or the window mask).  Returns
-    (p_next, a, s); the pre-content vector a and the normalizer s are
-    what the backward cache keeps.  ``p`` and ``e`` may also be
-    phoneme-first (N, B) batches, with (N, B) or shared (N, 1) weights;
-    s is then one normalizer per column."""
-    if opts.filter_enabled:
-        mask = window_mask(p.size, int(np.argmax(p)), opts.window_width, opts.window_shape)
-    if move is None:
-        a = mask if opts.filter_enabled else 1.0
-    else:
-        if opts.filter_enabled:
-            p = p * mask
-        a = stay * p
-        a[1:] += move[1:] * p[:-1]
-    b = a * e
-    s = b.sum(axis=0)
-    low = s < 1e-300
-    if low.any() if low.ndim else low:  # a scalar's .any() costs a microsecond
-        raise FloatingPointError("alignment normalizer underflowed; inconsistent filter/energy combination")
-    return b / s, a, s
+    def step(self, p: np.ndarray, e: np.ndarray, out: np.ndarray, a: np.ndarray | None = None):
+        """One step from ``p`` with energies ``e`` into ``out`` (not ``p``;
+        also the scratch row), by the plain expressions' ufuncs in their
+        order.  The pre-content vector goes to ``a`` (default a buffer);
+        returns the normalizer, one per column.  A whole kernel also
+        takes a (T, N) block of steps at once: numpy sums each contiguous
+        row pairwise, as it sums a single step's."""
+        if self.table is not None:  # never batched
+            c = p.argmax()
+            mask = self.table[self.lo - c : self.hi - c]
+        if self.stay is None:  # la: the energies, masked with the filter, are the alignment
+            b = e if self.table is None else multiply(mask, e, out)
+        else:
+            if self.table is not None:
+                p = multiply(p, mask, out)
+            a = self.a if a is None else a
+            a1 = a[1:]
+            multiply(self.stay, p, a)
+            add(a1, multiply(self.move1, p[:-1], self.head), a1)
+            b = multiply(a, e, out)
+        block = b.ndim > self.ndim  # a whole kernel given (T, N) rows: one pairwise sum per row
+        s = add.reduce(b, -1 if block else 0, None, None, block)
+        low = s < 1e-300
+        if low.any() if low.ndim else low:  # a scalar's .any() costs a microsecond
+            raise FloatingPointError("alignment normalizer underflowed; inconsistent filter/energy combination")
+        divide(b, s, out)
+        return s
 
 
 def window_mask(n: int, center: int, width: int, shape: str = "rectangular") -> np.ndarray:
@@ -296,18 +312,14 @@ def window_mask(n: int, center: int, width: int, shape: str = "rectangular") -> 
 
     Keeps indices in [center - width/2, center + width/2] (clipped);
     rectangular keeps them as-is, triangular applies a linear taper that
-    peaks at the center and stays positive inside the window.
+    peaks at the center and stays positive inside the window.  Rejects an
+    unknown shape, a width that is odd or below 2, and a center outside
+    [0, n).
     """
-    half = width // 2
-    lo = max(0, center - half)
-    hi = min(n - 1, center + half)
-    mask = np.zeros(n)
-    if shape == "rectangular":
-        mask[lo : hi + 1] = 1.0
-    else:
-        idx = np.arange(lo, hi + 1)
-        mask[idx] = 1.0 - np.abs(idx - center) / (half + 1)
-    return mask
+    opts = StepOptions(filter_enabled=True, window_width=width, window_shape=shape)  # checks the window
+    if not 0 <= center < n:
+        raise ValueError(f"window center {center} outside [0, {n})")
+    return _Kernel("la", None, opts, (n,)).table[n - 1 - center : 2 * n - 1 - center]
 
 
 def dynamic_filter(p_prev: AlignmentDistribution | np.ndarray, width: int = 16, shape: str = "rectangular") -> np.ndarray:
@@ -317,10 +329,13 @@ def dynamic_filter(p_prev: AlignmentDistribution | np.ndarray, width: int = 16, 
     not renormalized; normalization happens at the end of the step.
     """
     p = p_prev.p if isinstance(p_prev, AlignmentDistribution) else np.asarray(p_prev, dtype=np.float64)
-    if width < 2 or width % 2 != 0:
-        raise ValueError("window width must be an even integer >= 2")
-    m = int(np.argmax(p))
-    return p * window_mask(p.size, m, width, shape)
+    return p * window_mask(p.size, int(np.argmax(p)), width, shape)
+
+
+def _public_step(mechanism: str, p: np.ndarray, q: TransitionTokens | None, e: np.ndarray, opts: StepOptions):
+    out = np.empty(e.size)
+    _Kernel(mechanism, q, opts, e.shape).step(p, e, out)
+    return out
 
 
 def gdca_step(
@@ -333,8 +348,7 @@ def gdca_step(
     e = _finite_energy(e_norm)
     if q.q.shape != (e.size,) or p_prev.p.size != e.size:
         raise ValueError("length mismatch between alignment, tokens, and energies")
-    move, stay = _weights("gdca", q, e.size, opts.convention)
-    return AlignmentDistribution(p=_step(p_prev.p, e, move, stay, opts)[0], step=p_prev.step + 1)
+    return AlignmentDistribution(p=_public_step("gdca", p_prev.p, q, e, opts), step=p_prev.step + 1)
 
 
 def fa_step(
@@ -346,8 +360,7 @@ def fa_step(
     e = _finite_energy(e_norm)
     if p_prev.p.size != e.size:
         raise ValueError("length mismatch between alignment and energies")
-    move, stay = _weights("fa", None, e.size)
-    return AlignmentDistribution(p=_step(p_prev.p, e, move, stay, opts)[0], step=p_prev.step + 1)
+    return AlignmentDistribution(p=_public_step("fa", p_prev.p, None, e, opts), step=p_prev.step + 1)
 
 
 def la_step(
@@ -359,10 +372,10 @@ def la_step(
     the previous argmax masks the energies before renormalizing."""
     e = _finite_energy(e_norm)
     if p_prev is None:  # first step: no previous argmax to center a window on
-        return AlignmentDistribution(p=_step(e, e, None, None, StepOptions(mechanism="la"))[0], step=0)
+        return AlignmentDistribution(p=_public_step("la", e, None, e, StepOptions(mechanism="la")), step=0)
     if p_prev.p.size != e.size:
         raise ValueError("length mismatch between alignment and energies")
-    return AlignmentDistribution(p=_step(p_prev.p, e, None, None, opts)[0], step=p_prev.step + 1)
+    return AlignmentDistribution(p=_public_step("la", p_prev.p, None, e, opts), step=p_prev.step + 1)
 
 
 def context_vector(p: AlignmentDistribution | np.ndarray, keys: np.ndarray) -> np.ndarray:
@@ -415,8 +428,6 @@ def lattice_forward(
     t_steps, n = energies.shape[-2:]
     if normalize:
         energies = normalize_energies(energies)
-    p0 = init_alignment(n).p
-    move, stay = _weights(opts.mechanism, q, n, opts.convention)
     if keep_cache and (opts.mechanism != "gdca" or opts.filter_enabled):
         raise ValueError("backward cache requires unfiltered gdca")
     q_batch = q.q.shape[0] if q is not None and q.q.ndim == 2 else None
@@ -427,22 +438,16 @@ def lattice_forward(
         if opts.filter_enabled or keep_cache:
             raise ValueError("a batched lattice runs neither the window filter nor the backward cache")
         # phoneme-first (N, B) columns, so the kernel runs unchanged
-        p0 = p0[:, None]
         energies = np.ascontiguousarray(energies.transpose(1, 2, 0)) if energies.ndim == 3 else energies[..., None]
-        if move is not None and move.ndim == 1:
-            move, stay = move[:, None], stay[:, None]
 
     rows = np.empty((t_steps + 1, n) if batch is None else (t_steps + 1, n, batch))
-    rows[0] = p0
+    rows[0] = init_alignment(n).p if batch is None else init_alignment(n).p[:, None]
+    kernel = _Kernel(opts.mechanism, q, opts, rows.shape[1:])
     a_rows = np.empty((t_steps, n)) if keep_cache else None
-    sums = np.empty((t_steps,) + rows.shape[2:])
-    for t in range(t_steps):
-        rows[t + 1], a, sums[t] = _step(rows[t], energies[t], move, stay, opts)
-        if keep_cache:
-            a_rows[t] = a
+    sums = [kernel.step(rows[t], energies[t], rows[t + 1], a_rows[t] if keep_cache else None) for t in range(t_steps)]
     if batch is not None:
         return AlignmentMatrix(probs=np.ascontiguousarray(rows.transpose(2, 0, 1)))
-    cache = LatticeCache(q.q.copy(), energies.copy(), rows, a_rows, sums, opts.convention) if keep_cache else None
+    cache = LatticeCache(q.q.copy(), energies.copy(), rows, a_rows, np.array(sums), opts.convention) if keep_cache else None
     return AlignmentMatrix(probs=rows, cache=cache)
 
 

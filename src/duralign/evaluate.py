@@ -55,6 +55,8 @@ def monotonicity_score(alignment: AlignmentMatrix) -> float:
 
 def sharpness_score(alignment: AlignmentMatrix) -> float:
     """Mean over steps of the row maximum; 1.0 for one-hot rows."""
+    if alignment.probs.ndim != 2:
+        raise ValueError("sharpness_score takes one (T, N) alignment, not a batch")
     return float(np.mean(alignment.probs.max(axis=1)))
 
 

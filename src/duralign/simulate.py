@@ -19,8 +19,7 @@ from .attention import (
     AlignmentMatrix,
     EnergyParams,
     StepOptions,
-    _step,
-    _weights,
+    _Kernel,
     content_energies,
     context_vector,
     init_alignment,
@@ -167,11 +166,6 @@ class _SynthRows:
         np.add.at(raw, (self.spike_steps[lo:hi] - t0, self.spike_phonemes[lo:hi]), self.spec.spike_magnitude)
         return normalize_energies(raw)
 
-    def stream(self, limit: int):
-        """Rows for steps 0 .. limit-1, one block built at a time."""
-        for t0 in range(0, limit, _ENERGY_BLOCK):
-            yield from self.rows(t0, min(t0 + _ENERGY_BLOCK, limit))
-
 
 def synth_energies(
     d: np.ndarray, spec: SynthEnergySpec, seed: int, t: int
@@ -217,45 +211,43 @@ def run_simulation(
     ``stop_patience`` consecutive steps (or after ``fixed_steps``).
     Hitting ``max_steps`` first flags the result instead of raising.
     """
-    d = (
-        np.array(seq.target_frames, dtype=np.float64)
-        if isinstance(seq, PhonemeSequence)
-        else np.asarray(seq, dtype=np.float64)
-    )
+    d = np.array(seq.target_frames if isinstance(seq, PhonemeSequence) else seq, dtype=np.float64)
     if not np.all(np.isfinite(d) & (d > 0)):
         raise ValueError("durations must be finite and positive")
     if tokens is not None and tokens.q.ndim != 1:
         raise ValueError("run_simulation takes one (N,) token vector, not a batch")
     n = d.size
-    move, stay = _weights(cfg.opts.mechanism, tokens, n, cfg.opts.convention)
-    limit = cfg.fixed_steps if cfg.fixed_steps is not None else cfg.max_steps
+    kernel = _Kernel(cfg.opts.mechanism, tokens, cfg.opts, (n,))
+    stop_rule = cfg.fixed_steps is None
+    limit = cfg.max_steps if stop_rule else cfg.fixed_steps
     qgen = QueryGenerator(n, cfg.seed) if cfg.energy.mode == "from_query_generator" else None
-    energies = _SynthRows(d, cfg.energy, cfg.seed).stream(limit) if qgen is None else None
+    synth = _SynthRows(d, cfg.energy, cfg.seed) if qgen is None else None
+    whole = kernel.whole and qgen is None
 
     p = init_alignment(n).p
-    rows: list[np.ndarray] = []
-    parked = 0
-    stopped_by = "fixed" if cfg.fixed_steps is not None else "max_steps"
-    for _ in range(limit):
-        e = qgen.energies(p) if qgen is not None else next(energies)
-        p = _step(p, e, move, stay, cfg.opts)[0]
-        rows.append(p)
-        if cfg.fixed_steps is None:
-            parked = parked + 1 if int(np.argmax(p)) == n - 1 else 0
-            if parked >= cfg.stop_patience:
-                stopped_by = "parked"
-                break
+    blocks, parked, stopped_by = [], 0, "max_steps" if stop_rule else "fixed"
+    for t0 in range(0, limit, _ENERGY_BLOCK):  # rows written in place, a block at a time
+        rows = np.empty((min(_ENERGY_BLOCK, limit - t0), n))
+        blocks.append(rows)
+        energies = synth.rows(t0, t0 + len(rows)) if qgen is None else None
+        if whole:
+            kernel.step(None, energies, rows)
+        for i, row in enumerate(rows):
+            if not whole:
+                kernel.step(p, energies[i] if qgen is None else qgen.energies(p), row)
+                p = row
+            if stop_rule:
+                parked = parked + 1 if row.argmax() == n - 1 else 0
+                if parked >= cfg.stop_patience:
+                    blocks[-1], stopped_by = rows[: i + 1], "parked"
+                    break
+        if stopped_by == "parked":
+            break
 
-    alignment = AlignmentMatrix(probs=np.vstack(rows))
+    alignment = AlignmentMatrix(probs=np.concatenate(blocks))
     realized, monotone = realized_durations(alignment)
-    return SimResult(
-        alignment=alignment,
-        realized_frames=realized,
-        stop_step=alignment.n_steps,
-        stopped_by=stopped_by,
-        monotone=monotone,
-        config=cfg,
-    )
+    return SimResult(alignment=alignment, realized_frames=realized, stop_step=alignment.n_steps,
+                     stopped_by=stopped_by, monotone=monotone, config=cfg)
 
 
 def realized_durations(alignment: AlignmentMatrix) -> tuple[np.ndarray, bool]:
@@ -264,6 +256,8 @@ def realized_durations(alignment: AlignmentMatrix) -> tuple[np.ndarray, bool]:
     Returns (counts, monotone); monotone is False if the argmax path
     ever steps backward.
     """
+    if alignment.probs.ndim != 2:
+        raise ValueError("realized_durations takes one (T, N) alignment, not a batch")
     if alignment.n_steps == 0:
         raise ValueError("empty alignment")
     path = alignment.argmax_path()

@@ -37,6 +37,11 @@ class TestMetrics:
         probs = np.array([[1.0, 0.0], [0.5, 0.5]])
         assert sharpness_score(AlignmentMatrix(probs=probs)) == pytest.approx(0.75)
 
+    def test_sharpness_rejects_a_batch(self):
+        probs = np.array([[[1.0, 0.0], [0.5, 0.5]], [[0.2, 0.8], [0.6, 0.4]]])
+        with pytest.raises(ValueError, match="sharpness_score takes one"):
+            sharpness_score(AlignmentMatrix(probs=probs))
+
     def test_duration_error(self):
         mae, rel = duration_error(np.array([9.0, 12.0]), np.array([10.0, 10.0]))
         assert mae == pytest.approx(1.5)
@@ -56,6 +61,20 @@ class TestCompareMechanisms:
             row = report.row(label)
             assert row.monotonicity == 1.0
             assert not row.failed
+
+    def test_runs_each_configuration_once_in_order(self, monkeypatch):
+        calls = []
+        inner = evaluate.run_simulation
+
+        def recording(seq, tokens, cfg):
+            calls.append((cfg.opts.mechanism, cfg.opts.filter_enabled))
+            return inner(seq, tokens, cfg)
+
+        monkeypatch.setattr(evaluate, "run_simulation", recording)
+        d = np.array([4.0, 6.0, 5.0])
+        report = compare_mechanisms(d, oracle_tokens(d), SimConfig(fixed_steps=15))
+        assert calls == [(mechanism, filtered) for _, mechanism, filtered in MECHANISM_CONFIGS]
+        assert [row.label for row in report.rows] == [label for label, _, _ in MECHANISM_CONFIGS]
 
     def test_unknown_label_raises(self):
         d = np.array([5.0, 5.0])

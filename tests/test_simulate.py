@@ -220,3 +220,8 @@ class TestRealizedDurations:
         probs = np.array([[1.0, 0.0, 0.0]])
         counts, _ = realized_durations(AlignmentMatrix(probs=probs))
         assert np.array_equal(counts, [1, 0, 0])
+
+    def test_rejects_a_batch(self):
+        probs = np.array([[[1.0, 0.0], [0.0, 1.0]], [[1.0, 0.0], [1.0, 0.0]]])
+        with pytest.raises(ValueError, match="realized_durations takes one"):
+            realized_durations(AlignmentMatrix(probs=probs))
