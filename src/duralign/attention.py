@@ -17,10 +17,11 @@ The kernel is built once per run: weights, scratch buffers and the
 window at every offset, so a step's mask is a slice and a step writes
 its row in place.  ``lattice_forward``, ``simulate.run_simulation`` and
 the validating ``gdca_step``/``fa_step``/``la_step`` all step through
-it; la without the filter has no recursion, so the simulator normalizes
-a whole block of energy rows in one call.  With q = 0.5 everywhere the
-gdca weights are exactly half the fa weights (including the absorbing
-boundary), so the two mechanisms agree bit-for-bit after normalization.
+it; la without the filter has no recursion, so the simulator hands it
+a whole block of energy rows, as columns, in one call.  With q = 0.5
+everywhere the gdca weights are exactly half the fa weights (including
+the absorbing boundary), so the two mechanisms agree bit-for-bit after
+normalization.
 
 ``lattice_forward`` also takes a leading batch axis: tokens of shape
 (B, N), energies of shape (B, T, N), or both, with an unbatched side
@@ -257,34 +258,43 @@ def _shift_weights(q: np.ndarray, convention: str) -> tuple[np.ndarray, np.ndarr
 class _Kernel:
     """One run's step kernel, for rows of ``shape``: (N,), or (N, B)
     columns for a batch, with (N, B) or shared (N, 1) weights.  Its
-    constructor is the one place that dispatches on the mechanism."""
+    constructor is the one place that dispatches on the mechanism.
+
+    A ``whole`` kernel (la without the filter: no recursion) also takes
+    T steps at once as the (N, T) columns of a transposed (T, N) energy
+    block; numpy then sums each contiguous row pairwise, as it sums one
+    step's, so the rows are bit for bit those of T single steps."""
 
     def __init__(self, mechanism: str, q: TransitionTokens | None, opts: StepOptions, shape: tuple):
-        n, self.stay, self.ndim = shape[0], None, len(shape)  # la has no weights
+        n = shape[0]
+        self.stay = None  # la has no weights
         if mechanism == "fa":  # gdca at q = 0.5, doubled: move 1, stay 1, final stay 2
-            move, self.stay = (2.0 * w for w in _shift_weights(np.full(n, 0.5), "prose"))
+            move, stay = _shift_weights(np.full(n, 0.5), "prose")
+            move, self.stay = 2.0 * move, 2.0 * stay
         elif mechanism == "gdca":
             if q is None or len(q) != n:
                 raise ValueError("gdca needs tokens matching the phoneme count")
             move, self.stay = _shift_weights(q.q.T, opts.convention)
         if self.stay is not None:
-            if self.stay.ndim < self.ndim:
+            if self.stay.ndim < len(shape):  # weights shared by a batch's columns
                 move, self.stay = move[:, None], self.stay[:, None]
-            self.move1, self.a, self.head = move[1:], np.empty(shape), np.empty((n - 1,) + shape[1:])
-        self.table, self.lo, self.hi = None, n - 1, 2 * n - 1
-        if opts.filter_enabled:  # the window at offsets 1-n .. n-1: a step's mask is a slice
-            half, offset = opts.window_width // 2, np.abs(np.arange(1 - n, n))
+            self.move1 = move[1:]
+            self.a = np.empty(shape)
+            self.head = np.empty((n - 1,) + shape[1:])
+        self.table = None
+        self.lo, self.hi = n - 1, 2 * n - 1  # center c's mask is table[lo - c : hi - c]
+        if opts.filter_enabled:  # the window at offsets 1-n .. n-1
+            half = opts.window_width // 2
+            offset = np.abs(np.arange(1 - n, n))
             taper = 1.0 if opts.window_shape == "rectangular" else 1.0 - offset / (half + 1)
             self.table = np.where(offset <= half, taper, 0.0)
-        self.whole = self.stay is None and self.table is None  # no recursion: a step takes a block
+        self.whole = self.stay is None and self.table is None  # la without the filter: no recursion
 
     def step(self, p: np.ndarray, e: np.ndarray, out: np.ndarray, a: np.ndarray | None = None):
         """One step from ``p`` with energies ``e`` into ``out`` (not ``p``;
         also the scratch row), by the plain expressions' ufuncs in their
         order.  The pre-content vector goes to ``a`` (default a buffer);
-        returns the normalizer, one per column.  A whole kernel also
-        takes a (T, N) block of steps at once: numpy sums each contiguous
-        row pairwise, as it sums a single step's."""
+        returns the normalizer, one per column."""
         if self.table is not None:  # never batched
             c = p.argmax()
             mask = self.table[self.lo - c : self.hi - c]
@@ -298,8 +308,7 @@ class _Kernel:
             multiply(self.stay, p, a)
             add(a1, multiply(self.move1, p[:-1], self.head), a1)
             b = multiply(a, e, out)
-        block = b.ndim > self.ndim  # a whole kernel given (T, N) rows: one pairwise sum per row
-        s = add.reduce(b, -1 if block else 0, None, None, block)
+        s = add.reduce(b, axis=0)
         low = s < 1e-300
         if low.any() if low.ndim else low:  # a scalar's .any() costs a microsecond
             raise FloatingPointError("alignment normalizer underflowed; inconsistent filter/energy combination")

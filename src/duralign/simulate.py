@@ -211,7 +211,11 @@ def run_simulation(
     ``stop_patience`` consecutive steps (or after ``fixed_steps``).
     Hitting ``max_steps`` first flags the result instead of raising.
     """
-    d = np.array(seq.target_frames if isinstance(seq, PhonemeSequence) else seq, dtype=np.float64)
+    d = (
+        np.array(seq.target_frames, dtype=np.float64)
+        if isinstance(seq, PhonemeSequence)
+        else np.asarray(seq, dtype=np.float64)
+    )
     if not np.all(np.isfinite(d) & (d > 0)):
         raise ValueError("durations must be finite and positive")
     if tokens is not None and tokens.q.ndim != 1:
@@ -222,16 +226,20 @@ def run_simulation(
     limit = cfg.max_steps if stop_rule else cfg.fixed_steps
     qgen = QueryGenerator(n, cfg.seed) if cfg.energy.mode == "from_query_generator" else None
     synth = _SynthRows(d, cfg.energy, cfg.seed) if qgen is None else None
-    whole = kernel.whole and qgen is None
+    whole = kernel.whole and qgen is None  # a block of steps per kernel call
 
     p = init_alignment(n).p
-    blocks, parked, stopped_by = [], 0, "max_steps" if stop_rule else "fixed"
+    blocks: list[np.ndarray] = []
+    parked = 0
+    stopped_by = "max_steps" if stop_rule else "fixed"
     for t0 in range(0, limit, _ENERGY_BLOCK):  # rows written in place, a block at a time
         rows = np.empty((min(_ENERGY_BLOCK, limit - t0), n))
         blocks.append(rows)
         energies = synth.rows(t0, t0 + len(rows)) if qgen is None else None
         if whole:
-            kernel.step(None, energies, rows)
+            kernel.step(None, energies.T, rows.T)  # the block's steps as (N, T) columns
+            if not stop_rule:
+                continue
         for i, row in enumerate(rows):
             if not whole:
                 kernel.step(p, energies[i] if qgen is None else qgen.energies(p), row)
@@ -239,15 +247,22 @@ def run_simulation(
             if stop_rule:
                 parked = parked + 1 if row.argmax() == n - 1 else 0
                 if parked >= cfg.stop_patience:
-                    blocks[-1], stopped_by = rows[: i + 1], "parked"
+                    blocks[-1] = rows[: i + 1]
+                    stopped_by = "parked"
                     break
         if stopped_by == "parked":
             break
 
     alignment = AlignmentMatrix(probs=np.concatenate(blocks))
     realized, monotone = realized_durations(alignment)
-    return SimResult(alignment=alignment, realized_frames=realized, stop_step=alignment.n_steps,
-                     stopped_by=stopped_by, monotone=monotone, config=cfg)
+    return SimResult(
+        alignment=alignment,
+        realized_frames=realized,
+        stop_step=alignment.n_steps,
+        stopped_by=stopped_by,
+        monotone=monotone,
+        config=cfg,
+    )
 
 
 def realized_durations(alignment: AlignmentMatrix) -> tuple[np.ndarray, bool]:
