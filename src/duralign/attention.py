@@ -38,7 +38,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from numpy import add, divide, multiply
+from numpy import add, divide, multiply, subtract
 
 from .tokens import TransitionTokens
 
@@ -132,14 +132,13 @@ def content_energies_backward(
     de = np.asarray(upstream_grad, dtype=np.float64)
     if de.shape != (keys.shape[0],):
         raise ValueError("upstream gradient shape mismatch")
-    z = params.W @ query + keys @ params.V.T + params.b
-    a = np.tanh(z)
+    if not np.all(np.isfinite(de)):
+        raise ValueError("non-finite upstream gradient")
+    a = np.tanh(params.W @ query + keys @ params.V.T + params.b)
     dv = a.T @ de
     dz = np.outer(de, params.v) * (1.0 - a * a)  # (N, attn_dim)
     db = dz.sum(axis=0)
-    dW = np.outer(dz.sum(axis=0), query)
-    dV = dz.T @ keys
-    return EnergyGrads(W=dW, V=dV, v=dv, b=db)
+    return EnergyGrads(W=np.outer(db, query), V=dz.T @ keys, v=dv, b=db)
 
 
 def normalize_energies(e: np.ndarray) -> np.ndarray:
@@ -152,6 +151,8 @@ def normalize_energies(e: np.ndarray) -> np.ndarray:
 
 def _finite_energy(e: np.ndarray) -> np.ndarray:
     e = np.asarray(e, dtype=np.float64)
+    if e.shape[-1:] == (0,):
+        raise ValueError("empty energy vector: need at least one phoneme")
     if not np.all(np.isfinite(e)):
         raise ValueError("non-finite energy")
     return e
@@ -338,6 +339,8 @@ def dynamic_filter(p_prev: AlignmentDistribution | np.ndarray, width: int = 16, 
     not renormalized; normalization happens at the end of the step.
     """
     p = p_prev.p if isinstance(p_prev, AlignmentDistribution) else np.asarray(p_prev, dtype=np.float64)
+    if p.size == 0:
+        raise ValueError("empty alignment vector: nothing to filter")
     return p * window_mask(p.size, int(np.argmax(p)), width, shape)
 
 
@@ -463,8 +466,11 @@ def lattice_forward(
 def lattice_backward(alignment: AlignmentMatrix, d_probs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Reverse-mode gradients (dLoss/dq, dLoss/dE) through a gdca run.
 
-    ``d_probs`` holds dLoss/dp for every row of the alignment matrix
-    (row 0's entry is ignored: the initial distribution is constant).
+    ``d_probs`` holds a finite dLoss/dp for every row of the alignment
+    matrix (row 0's entry is ignored: the initial distribution is
+    constant).  A reverse step writes into buffers built once per call
+    (row t of dE holds db until a last multiply by a), with the plain
+    expressions' ufuncs in order: bit for bit an allocating loop's result.
     """
     cache = alignment.cache
     if cache is None:
@@ -472,31 +478,26 @@ def lattice_backward(alignment: AlignmentMatrix, d_probs: np.ndarray) -> tuple[n
     d_probs = np.asarray(d_probs, dtype=np.float64)
     if d_probs.shape != alignment.probs.shape:
         raise ValueError("upstream gradient shape mismatch")
+    if not (np.isfinite(d_probs.min()) and np.isfinite(d_probs.max())):  # NaN reaches both; no (T+1, N) mask
+        raise ValueError("non-finite upstream gradient d_probs")
     t_steps, n = cache.energies.shape
     move, stay = _shift_weights(cache.q, cache.convention)
-    sign = 1.0 if cache.convention == "prose" else -1.0  # eq3-literal is prose with q -> 1 - q
-    dq = np.zeros(n)
-    d_energies = np.zeros((t_steps, n))
-
-    carry = np.zeros(n)
+    # prose: move[n] = q[n-1], stay[n] = 1 - q[n] (final stay fixed); eq3-literal negates both
+    up, down = (add, subtract) if cache.convention == "prose" else (subtract, add)
+    dq, d_energies = np.zeros(n), np.empty((t_steps, n))
+    g, da, carry, head = np.empty(n), np.empty(n), np.zeros(n), np.empty(n - 1)
+    dq0, da1, da0, carry0, move1 = dq[:-1], da[1:], da[:-1], carry[:-1], move[1:]
     for t in range(t_steps - 1, -1, -1):
-        g = carry + d_probs[t + 1]
-        p_t = cache.p_rows[t + 1]
-        p_prev = cache.p_rows[t]
-        s = cache.sums[t]
-        a = cache.a_rows[t]
-        e = cache.energies[t]
-        db = (g - np.dot(g, p_t)) / s
-        d_energies[t] = db * a
-        da = db * e
-        # a[n] = stay[n] * p_prev[n] + move[n] * p_prev[n-1]
-        dstay = da * p_prev
-        dmove = np.zeros(n)
-        dmove[1:] = da[1:] * p_prev[:-1]
-        dq[:-1] += sign * dmove[1:]  # prose: move[n] = q[n-1]
-        dq[:-1] -= sign * dstay[:-1]  # prose: stay[n] = 1 - q[n], final stay fixed at 1
-        carry = da * stay
-        carry[:-1] += da[1:] * move[1:]
+        add(carry, d_probs[t + 1], g)
+        db = d_energies[t]
+        divide(subtract(g, np.dot(g, cache.p_rows[t + 1]), db), cache.sums[t], db)
+        multiply(db, cache.energies[t], da)
+        p_prev = cache.p_rows[t, :-1]  # a[n] = stay[n] * p_prev[n] + move[n] * p_prev[n-1]
+        up(dq0, multiply(da1, p_prev, head), dq0)  # the move[n+1] terms
+        down(dq0, multiply(da0, p_prev, head), dq0)  # the stay[n] terms
+        multiply(da, stay, carry)
+        add(carry0, multiply(da1, move1, head), carry0)
+    multiply(d_energies, cache.a_rows, d_energies)
     return dq, d_energies
 
 
@@ -513,10 +514,8 @@ def pure_lattice_occupancy(q: TransitionTokens | np.ndarray, horizon: int) -> np
         raise ValueError("occupancy takes one (N,) token vector, not a batch")
     if horizon < 0:
         raise ValueError("negative horizon")
-    n = qv.size
-    p = np.zeros(n)
-    p[0] = 1.0
-    occupancy = np.zeros(n)
+    p = init_alignment(qv.size).p
+    occupancy = np.zeros(qv.size)
     for _ in range(horizon):
         occupancy += p
         nxt = (1.0 - qv) * p

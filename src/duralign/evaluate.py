@@ -47,6 +47,8 @@ MECHANISM_CONFIGS = (
 
 def monotonicity_score(alignment: AlignmentMatrix) -> float:
     """Fraction of consecutive step pairs with non-decreasing argmax."""
+    if alignment.probs.ndim != 2:
+        raise ValueError("monotonicity_score takes one (T, N) alignment, not a batch")
     if alignment.n_steps < 2:
         raise ValueError("need at least two steps")
     path = alignment.argmax_path()

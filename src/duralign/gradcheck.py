@@ -145,9 +145,7 @@ def check_lattice_gradients(seed: int, step: float = FD_STEP, corrupt: bool = Fa
     n, t_steps = 4, 12
     d = rng.integers(2, 6, n).astype(np.float64)
     q0 = rng.uniform(0.2, 0.8, n)
-    energies = np.vstack(
-        [attention.normalize_energies(rng.normal(0.0, 1.0, n)) for _ in range(t_steps)]
-    )
+    energies = attention.normalize_energies(rng.normal(0.0, 1.0, (t_steps, n)))
     opts = attention.StepOptions(mechanism="gdca", convention="prose")
 
     mat = attention.lattice_forward(tokens.TransitionTokens(q=q0), energies, opts, keep_cache=True)

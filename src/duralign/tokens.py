@@ -178,11 +178,20 @@ def encoder_forward(params: DurationEncoderParams, feats: DurationFeatures) -> T
 def encoder_backward(
     params: DurationEncoderParams, feats: DurationFeatures, upstream_grad: np.ndarray
 ) -> EncoderGrads:
-    """Analytic gradients of sum(upstream_grad * q) w.r.t. all parameters."""
+    """Analytic gradients of sum(upstream_grad * q) w.r.t. all parameters,
+    for a finite upstream gradient."""
     upstream = np.asarray(upstream_grad, dtype=np.float64)
     if upstream.shape != (feats.rows.shape[0],):
         raise ValueError("upstream gradient shape mismatch")
-    x, h, y = _forward_parts(params, feats)
+    if not np.all(np.isfinite(upstream)):
+        raise ValueError("non-finite upstream gradient")
+    return _encoder_grads(params, *_forward_parts(params, feats), upstream)
+
+
+def _encoder_grads(
+    params: DurationEncoderParams, x: np.ndarray, h: np.ndarray, y: np.ndarray, upstream: np.ndarray
+) -> EncoderGrads:
+    """The reverse pass of ``encoder_backward`` from its forward parts."""
     dy = upstream * y * (1.0 - y)  # (N,)
     db2 = float(dy.sum())
     dw2 = h.T @ dy
@@ -243,13 +252,13 @@ def train_encoder(
         for start in range(0, n, cfg.batch_size):
             idx = order[start : start + cfg.batch_size]
             batch = DurationFeatures(rows=feats.rows[idx])
-            _, _, y = _forward_parts(params, batch)
+            x, h, y = _forward_parts(params, batch)
             err = y - target[idx]
             loss = float(np.mean(err * err))
             if not np.isfinite(loss):
                 raise TrainingDiverged(epoch)
             batch_losses.append(loss)
-            grads = encoder_backward(params, batch, 2.0 * err / idx.size)
+            grads = _encoder_grads(params, x, h, y, 2.0 * err / idx.size)
             lr = cfg.learning_rate
             params.w1 -= lr * grads.w1
             params.b1 -= lr * grads.b1

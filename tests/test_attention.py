@@ -14,6 +14,7 @@ from duralign.attention import (
     alignment_to_csv,
     alignment_to_pgm,
     content_energies,
+    content_energies_backward,
     context_vector,
     dynamic_filter,
     fa_step,
@@ -25,6 +26,7 @@ from duralign.attention import (
     normalize_energies,
     pure_lattice_occupancy,
     window_mask,
+    _shift_weights,
 )
 from duralign.cli import main
 from duralign.tokens import TransitionTokens
@@ -65,6 +67,12 @@ class TestContentEnergies:
         with pytest.raises(ValueError):
             content_energies(params, np.ones(2), np.ones((5, 3)))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_backward_rejects_nonfinite_upstream(self, bad):
+        params = EnergyParams.init(0, query_dim=2, key_dim=4, attn_dim=3)
+        with pytest.raises(ValueError, match="non-finite upstream gradient"):
+            content_energies_backward(params, np.ones(2), np.ones((5, 4)), np.array([0.0, 1.0, bad, 0.0, 1.0]))
+
 
 class TestNormalize:
     def test_uniform(self):
@@ -88,6 +96,20 @@ class TestNormalize:
     def test_rejects_nonfinite(self):
         with pytest.raises(ValueError):
             normalize_energies(np.array([0.0, np.inf]))
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: normalize_energies(np.array([])),
+        lambda: normalize_energies(np.zeros((3, 0))),
+        lambda: la_step(np.array([])),
+        lambda: lattice_forward(None, np.zeros((3, 0)), StepOptions(mechanism="fa")),
+    ],
+)
+def test_energy_entry_points_reject_an_empty_vector(call):
+    with pytest.raises(ValueError, match="empty energy vector"):
+        call()
 
 
 class TestContainers:
@@ -280,6 +302,10 @@ class TestDynamicFilter:
         out = dynamic_filter(p, width=4, shape="triangular")
         mask = np.array([0.0, 0.0, 1 / 3, 2 / 3, 1.0, 2 / 3, 1 / 3, 0.0, 0.0])
         assert np.allclose(out, p * mask, atol=1e-15)
+
+    def test_rejects_an_empty_alignment(self):
+        with pytest.raises(ValueError, match="empty alignment vector"):
+            dynamic_filter(np.array([]))
 
     def test_odd_width_rejected(self):
         with pytest.raises(ValueError):
@@ -582,6 +608,55 @@ class TestLatticeBackward:
         mat = AlignmentMatrix(probs=np.full((3, 2), 0.5))
         with pytest.raises(ValueError):
             lattice_backward(mat, np.zeros((3, 2)))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("row", [0, 5])
+    def test_rejects_nonfinite_upstream(self, bad, row):
+        d, E, opts = self.problem(0)
+        mat = lattice_forward(TransitionTokens(q=np.full(4, 0.5)), E, opts, keep_cache=True)
+        d_probs = np.ones_like(mat.probs)
+        d_probs[row, 2] = bad
+        with pytest.raises(ValueError, match="non-finite upstream gradient d_probs"):
+            lattice_backward(mat, d_probs)
+
+    @staticmethod
+    def allocating_backward(alignment, d_probs):
+        """The per-step loop that allocates its temporaries on every
+        step, kept as the reference for the buffered reverse kernel."""
+        cache = alignment.cache
+        t_steps, n = cache.energies.shape
+        move, stay = _shift_weights(cache.q, cache.convention)
+        sign = 1.0 if cache.convention == "prose" else -1.0  # eq3-literal is prose with q -> 1 - q
+        dq = np.zeros(n)
+        d_energies = np.zeros((t_steps, n))
+        carry = np.zeros(n)
+        for t in range(t_steps - 1, -1, -1):
+            g = carry + d_probs[t + 1]
+            p_prev = cache.p_rows[t]
+            db = (g - np.dot(g, cache.p_rows[t + 1])) / cache.sums[t]
+            d_energies[t] = db * cache.a_rows[t]
+            da = db * cache.energies[t]
+            dstay = da * p_prev
+            dmove = np.zeros(n)
+            dmove[1:] = da[1:] * p_prev[:-1]
+            dq[:-1] += sign * dmove[1:]
+            dq[:-1] -= sign * dstay[:-1]
+            carry = da * stay
+            carry[:-1] += da[1:] * move[1:]
+        return dq, d_energies
+
+    @pytest.mark.parametrize("convention", ["prose", "eq3-literal"])
+    @pytest.mark.parametrize("n", [1, 2, 3, 7, 8, 9, 14, 64, 256])
+    def test_equals_allocating_loop(self, convention, n):
+        rng = np.random.default_rng(n)
+        for t_steps in (1, 5, 130):
+            q = TransitionTokens(q=rng.uniform(0.05, 0.95, n))
+            E = normalize_energies(rng.normal(0.0, 2.0, (t_steps, n)))
+            mat = lattice_forward(q, E, StepOptions(convention=convention), keep_cache=True)
+            d_probs = rng.normal(0.0, 1.0, mat.probs.shape)
+            dq, dE = lattice_backward(mat, d_probs)
+            ref_dq, ref_dE = self.allocating_backward(mat, d_probs)
+            assert np.array_equal(dq, ref_dq) and np.array_equal(dE, ref_dE)
 
 
 def per_cell_csv(probs):

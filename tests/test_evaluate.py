@@ -29,6 +29,11 @@ class TestMetrics:
         # pairs: up, down, up -> 2/3
         assert monotonicity_score(AlignmentMatrix(probs=probs)) == pytest.approx(2 / 3)
 
+    def test_monotonicity_rejects_a_batch(self):
+        probs = np.random.default_rng(0).random((3, 5, 4))
+        with pytest.raises(ValueError, match="monotonicity_score takes one"):
+            monotonicity_score(AlignmentMatrix(probs=probs))
+
     def test_monotonicity_needs_two_steps(self):
         with pytest.raises(ValueError):
             monotonicity_score(AlignmentMatrix(probs=np.array([[1.0, 0.0]])))

@@ -118,6 +118,13 @@ class TestEncoderBackward:
         assert np.allclose(double.w1, 2.0 * single.w1)
         assert double.b2 == pytest.approx(2.0 * single.b2)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_rejects_nonfinite_upstream(self, bad):
+        params = DurationEncoderParams.init(5, hidden=4)
+        feats = DurationFeatures(rows=np.array([[0.5, 120.0, 3.0], [1.0, 60.0, 4.0]]))
+        with pytest.raises(ValueError, match="non-finite upstream gradient"):
+            encoder_backward(params, feats, np.array([1.0, bad]))
+
 
 class TestTraining:
     @staticmethod
@@ -153,6 +160,40 @@ class TestTraining:
         with pytest.raises(TrainingDiverged) as exc:
             train_encoder(feats, targets, TrainConfig(epochs=5))
         assert exc.value.epoch == 0
+
+    @staticmethod
+    def reference_training(feats, targets, cfg, hidden=16):
+        """train_encoder's loop with the gradients from the public
+        encoder_backward, which reruns the forward pass."""
+        params = DurationEncoderParams.init(cfg.seed, hidden=hidden, scale=0.2)
+        rng = np.random.default_rng(cfg.seed)
+        n = feats.rows.shape[0]
+        history = []
+        for _ in range(cfg.epochs):
+            order = rng.permutation(n)
+            batch_losses = []
+            for start in range(0, n, cfg.batch_size):
+                idx = order[start : start + cfg.batch_size]
+                batch = DurationFeatures(rows=feats.rows[idx])
+                err = tokens_mod._forward_parts(params, batch)[2] - targets.q[idx]
+                batch_losses.append(float(np.mean(err * err)))
+                grads = encoder_backward(params, batch, 2.0 * err / idx.size)
+                params.w1 -= cfg.learning_rate * grads.w1
+                params.b1 -= cfg.learning_rate * grads.b1
+                params.w2 -= cfg.learning_rate * grads.w2
+                params.b2 -= cfg.learning_rate * grads.b2
+            history.append(float(np.mean(batch_losses)))
+        return params, history
+
+    @pytest.mark.parametrize("batch_size", [128, 7])
+    def test_equals_reference_loop(self, batch_size):
+        feats, targets = self.dataset(seed=3)
+        cfg = TrainConfig(epochs=30, batch_size=batch_size, seed=4)
+        params, history = train_encoder(feats, targets, cfg)
+        ref_params, ref_history = self.reference_training(feats, targets, cfg)
+        assert history == ref_history
+        for name in ("w1", "b1", "w2", "b2"):
+            assert np.array_equal(getattr(params, name), getattr(ref_params, name))
 
     def test_zero_lr_keeps_history_constant(self):
         feats, targets = self.dataset(n=16)
