@@ -40,6 +40,7 @@ from dataclasses import dataclass
 import numpy as np
 from numpy import add, divide, multiply, subtract
 
+from ._shortest import repr_columns
 from .tokens import TransitionTokens
 
 __all__ = [
@@ -69,6 +70,7 @@ __all__ = [
 MECHANISMS = ("la", "fa", "gdca")
 CONVENTIONS = ("prose", "eq3-literal")
 WINDOW_SHAPES = ("rectangular", "triangular")
+_CSV_BLOCK = 128  # alignment_to_csv writes this many rows at a time
 
 
 # ---------------------------------------------------------------------------
@@ -111,24 +113,31 @@ class EnergyGrads:
     b: np.ndarray
 
 
-def content_energies(params: EnergyParams, query: np.ndarray, keys: np.ndarray) -> np.ndarray:
-    """Raw energy of the query against each key row; 64-bit throughout."""
+def _energy_inputs(params: EnergyParams, query: np.ndarray, keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     query = np.asarray(query, dtype=np.float64)
     keys = np.asarray(keys, dtype=np.float64)
     if keys.ndim != 2 or keys.shape[0] < 1:
         raise ValueError("keys must be a non-empty (N, key_dim) array")
     if query.shape != (params.W.shape[1],) or keys.shape[1] != params.V.shape[1]:
         raise ValueError("query/key dimension mismatch")
-    z = params.W @ query + keys @ params.V.T + params.b  # (N, attn_dim)
-    return np.tanh(z) @ params.v
+    return query, keys
+
+
+def content_energies(params: EnergyParams, query: np.ndarray, keys: np.ndarray) -> np.ndarray:
+    """Raw energy of the query against each key row; 64-bit throughout."""
+    query, keys = _energy_inputs(params, query, keys)
+    return _content(params, query, keys @ params.V.T)
+
+
+def _content(params: EnergyParams, query: np.ndarray, projected_keys: np.ndarray) -> np.ndarray:
+    return np.tanh(params.W @ query + projected_keys + params.b) @ params.v
 
 
 def content_energies_backward(
     params: EnergyParams, query: np.ndarray, keys: np.ndarray, upstream_grad: np.ndarray
 ) -> EnergyGrads:
     """Analytic gradients of sum(upstream_grad * e) w.r.t. W, V, v, b."""
-    query = np.asarray(query, dtype=np.float64)
-    keys = np.asarray(keys, dtype=np.float64)
+    query, keys = _energy_inputs(params, query, keys)
     de = np.asarray(upstream_grad, dtype=np.float64)
     if de.shape != (keys.shape[0],):
         raise ValueError("upstream gradient shape mismatch")
@@ -144,7 +153,10 @@ def content_energies_backward(
 def normalize_energies(e: np.ndarray) -> np.ndarray:
     """Stable softmax (max-subtraction) over the last axis, so a (T, N)
     matrix is normalized row by row; each row sums to 1, entries > 0."""
-    e = _finite_energy(e)
+    return _softmax(_finite_energy(e))
+
+
+def _softmax(e: np.ndarray) -> np.ndarray:
     w = np.exp(e - e.max(axis=-1, keepdims=True))
     return w / w.sum(axis=-1, keepdims=True)
 
@@ -536,27 +548,45 @@ def _single(alignment: AlignmentMatrix) -> tuple[int, int]:
     return alignment.probs.shape
 
 
+def _texts(texts: list[str]) -> np.ndarray:
+    """(len(texts), width) uint8: the ASCII texts right-aligned in zero bytes."""
+    width = max(map(len, texts))
+    raw = "".join(text.rjust(width, "\0") for text in texts).encode("ascii")
+    return np.frombuffer(raw, dtype=np.uint8).reshape(len(texts), width)
+
+
 def alignment_to_csv(alignment: AlignmentMatrix) -> str:
     """CSV export: a ``t,n,p`` header, then one ``t,n,p`` line per lattice
     cell in row-major order (step t, then phoneme n).  Each probability
     is written as ``repr(float)``, the shortest text that reads back to
     the same double; an exact ``+0.0`` is written as ``0.0`` (and
-    ``-0.0`` as ``-0.0``)."""
+    ``-0.0`` as ``-0.0``).  The lines are built by array operations 128
+    rows at a time, in fixed columns whose zero-byte padding is then
+    dropped; ``_shortest`` finds the digits of every cell but +0.0, so
+    the cost follows the size of the alignment, not its values, and the
+    memory held besides the text is bounded by the block."""
     _, n = _single(alignment)
     if n == 0:
         return "t,n,p\n"
     probs = alignment.probs
-    cols = [f"{j}," for j in range(n)]
-    zeros = [c + "0.0" for c in cols]
     written = (probs != 0.0) | np.signbit(probs)  # every cell but +0.0
-    rows = ["t,n,p\n"]
-    for t, (row, mask) in enumerate(zip(probs.tolist(), written)):
-        cells = zeros.copy()
-        for j in np.flatnonzero(mask).tolist():
-            cells[j] = cols[j] + repr(row[j])
-        lead = f"{t},"
-        rows.append(lead + ("\n" + lead).join(cells) + "\n")
-    return "".join(rows)
+    cols = _texts([f"{j}," for j in range(n)])
+    zero = repr_columns(np.zeros(1))
+    parts = [b"t,n,p\n"]
+    for t0 in range(0, len(probs), _CSV_BLOCK):
+        block, mask = probs[t0 : t0 + _CSV_BLOCK], written[t0 : t0 + _CSV_BLOCK]
+        rows = _texts([f"{t}," for t in range(t0, t0 + len(block))])
+        # the text of each written cell, after the 0.0 that the others share
+        texts = np.ascontiguousarray(np.concatenate([zero, repr_columns(block[mask])], axis=1).T)
+        which = np.cumsum(mask).reshape(mask.shape) * mask
+        lines = np.concatenate([
+            np.broadcast_to(rows[:, None], block.shape + rows.shape[1:]),
+            np.broadcast_to(cols, block.shape + cols.shape[1:]),
+            texts[which],
+            np.full(block.shape + (1,), ord("\n"), dtype=np.uint8),
+        ], axis=2)
+        parts.append(lines[lines != 0].tobytes())
+    return b"".join(parts).decode("ascii")
 
 
 def alignment_to_pgm(alignment: AlignmentMatrix) -> bytes:

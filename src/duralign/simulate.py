@@ -19,8 +19,9 @@ from .attention import (
     AlignmentMatrix,
     EnergyParams,
     StepOptions,
+    _content,
     _Kernel,
-    content_energies,
+    _softmax,
     context_vector,
     init_alignment,
     normalize_energies,
@@ -193,11 +194,12 @@ class QueryGenerator:
         self.A = rng.normal(0.0, 0.4, (dim, dim))
         self.B = rng.normal(0.0, 0.4, (dim, dim))
         self.m = rng.normal(0.0, 1.0, dim)
+        self._projected_keys = self.keys @ self.params.V.T
 
     def energies(self, p_prev: AlignmentDistribution | np.ndarray) -> np.ndarray:
         c = context_vector(p_prev, self.keys)
         self.m = np.tanh(self.A @ self.m + self.B @ c)
-        return normalize_energies(content_energies(self.params, self.m, self.keys))
+        return _softmax(_content(self.params, self.m, self._projected_keys))
 
 
 def run_simulation(

@@ -163,11 +163,15 @@ def _forward_parts(params: DurationEncoderParams, feats: DurationFeatures):
     return x, h, y
 
 
-def encoder_forward(params: DurationEncoderParams, feats: DurationFeatures) -> TransitionTokens:
-    """Map duration features to tokens, elementwise per phoneme row."""
+def _check_encoder(params: DurationEncoderParams, feats: DurationFeatures):
     params.check_finite()
     if params.w1.shape != (params.hidden, feats.rows.shape[1]):
         raise ValueError("parameter/feature dimension mismatch")
+
+
+def encoder_forward(params: DurationEncoderParams, feats: DurationFeatures) -> TransitionTokens:
+    """Map duration features to tokens, elementwise per phoneme row."""
+    _check_encoder(params, feats)
     _, _, y = _forward_parts(params, feats)
     # Keep strictly inside (0, 1) even under extreme saturation.
     tiny = np.finfo(np.float64).tiny
@@ -179,7 +183,8 @@ def encoder_backward(
     params: DurationEncoderParams, feats: DurationFeatures, upstream_grad: np.ndarray
 ) -> EncoderGrads:
     """Analytic gradients of sum(upstream_grad * q) w.r.t. all parameters,
-    for a finite upstream gradient."""
+    for finite parameters and a finite upstream gradient."""
+    _check_encoder(params, feats)
     upstream = np.asarray(upstream_grad, dtype=np.float64)
     if upstream.shape != (feats.rows.shape[0],):
         raise ValueError("upstream gradient shape mismatch")

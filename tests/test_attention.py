@@ -3,7 +3,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from duralign.attention import (
@@ -66,6 +66,22 @@ class TestContentEnergies:
             content_energies(params, np.ones(3), np.ones((5, 4)))
         with pytest.raises(ValueError):
             content_energies(params, np.ones(2), np.ones((5, 3)))
+
+    @pytest.mark.parametrize(
+        "query,keys,match",
+        [
+            (np.ones(3), np.ones((5, 4)), "query/key dimension mismatch"),
+            (np.ones(2), np.ones((5, 3)), "query/key dimension mismatch"),
+            (np.ones(2), np.ones(4), "keys must be a non-empty"),
+            (np.ones(2), np.ones((0, 4)), "keys must be a non-empty"),
+        ],
+    )
+    def test_backward_checks_dimensions_as_forward_does(self, query, keys, match):
+        params = EnergyParams.init(0, query_dim=2, key_dim=4, attn_dim=3)
+        with pytest.raises(ValueError, match=match):
+            content_energies(params, query, keys)
+        with pytest.raises(ValueError, match=match):
+            content_energies_backward(params, query, keys, np.ones(len(keys)))
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_backward_rejects_nonfinite_upstream(self, bad):
@@ -674,7 +690,7 @@ EDGE_CELLS = [
     -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1e-5, 1e-4, 9.999999999999999e-05,
     1e15, 1e16, 9999999999999998.0, 1.0, 2.0, -3.0, 1.0000000000000002, 0.1,
 ]
-# every finite value but +0.0: the cells the formatter passes to repr
+# every finite value but +0.0: the cells whose digits the formatter finds
 written_cells = st.one_of(
     st.sampled_from(EDGE_CELLS), st.floats(allow_nan=False, allow_infinity=False)
 ).filter(lambda v: v != 0.0 or math.copysign(1.0, v) < 0)
@@ -694,6 +710,23 @@ def csv_matrices(draw):
         for _ in range(t_steps)
     ]
     return np.array(rows, dtype=np.float64).reshape(t_steps, n)
+
+
+# A small pool with signed zeros, the smallest subnormal, another
+# subnormal and a tiny normal, so that values and whole rows repeat.
+POOL_CELLS = [0.0, -0.0, 5e-324, 2.2e-310, 1e-300, 0.25, 1.0]
+
+
+@st.composite
+def pooled_csv_matrices(draw):
+    """Up to 300 rows (past the 128-row blocks of alignment_to_csv), each
+    picked from a few rows drawn from the pool."""
+    n = draw(st.integers(1, 4))
+    row = st.lists(st.sampled_from(POOL_CELLS), min_size=n, max_size=n)
+    distinct = draw(st.lists(row, min_size=1, max_size=5))
+    t_steps = draw(st.integers(0, 300))
+    picks = draw(st.lists(st.integers(0, len(distinct) - 1), min_size=t_steps, max_size=t_steps))
+    return np.array([distinct[i] for i in picks], dtype=np.float64).reshape(t_steps, n)
 
 
 class TestExports:
@@ -727,6 +760,27 @@ class TestExports:
 
     @given(csv_matrices())
     def test_csv_matches_per_cell_formatter(self, probs):
+        assert alignment_to_csv(AlignmentMatrix(probs=probs)) == per_cell_csv(probs)
+
+    @settings(deadline=None)
+    @given(pooled_csv_matrices())
+    def test_pooled_csv_across_blocks_matches_per_cell_formatter(self, probs):
+        assert alignment_to_csv(AlignmentMatrix(probs=probs)) == per_cell_csv(probs)
+
+    def test_csv_with_equal_rows_at_block_edges(self):
+        probs = np.random.default_rng(3).random((300, 3))
+        probs[128] = probs[127]
+        probs[256] = probs[255]
+        probs[127, 1] = probs[128, 1] = probs[40, 2] = probs[200, 0] = -0.0
+        probs[255, 2] = probs[256, 2] = 0.0
+        assert alignment_to_csv(AlignmentMatrix(probs=probs)) == per_cell_csv(probs)
+
+    def test_csv_of_random_doubles_across_blocks(self):
+        # every magnitude and sign, 300 rows (three 128-row blocks)
+        bits = np.random.default_rng(11).integers(0, 2**64, (300, 5), dtype=np.uint64, endpoint=False)
+        probs = bits.view(np.float64).copy()
+        probs[~np.isfinite(probs)] = -0.0
+        probs[::7, 2] = 0.0
         assert alignment_to_csv(AlignmentMatrix(probs=probs)) == per_cell_csv(probs)
 
     @pytest.mark.parametrize("shape", [(0, 0), (0, 3), (3, 0)])

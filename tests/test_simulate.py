@@ -13,7 +13,13 @@ from duralign.simulate import (
     run_simulation,
     synth_energies,
 )
-from duralign.attention import AlignmentMatrix, init_alignment
+from duralign.attention import (
+    AlignmentMatrix,
+    content_energies,
+    context_vector,
+    init_alignment,
+    normalize_energies,
+)
 from duralign.tokens import TransitionTokens, oracle_tokens
 
 
@@ -103,6 +109,19 @@ class TestQueryGenerator:
         assert np.array_equal(e1, e2)
         assert not np.array_equal(e1, e3)
         assert e1.sum() == pytest.approx(1.0)
+
+    @pytest.mark.parametrize("n", [1, 14, 128])
+    @pytest.mark.parametrize("seed", [0, 11])
+    def test_matches_the_validating_loop(self, n, seed):
+        """The generator projects its keys once; each step still equals
+        the public normalize_energies(content_energies(...)) it replaces."""
+        gen, ref = QueryGenerator(n, seed), QueryGenerator(n, seed)
+        p = init_alignment(n).p
+        for _ in range(500):
+            e = gen.energies(p)
+            ref.m = np.tanh(ref.A @ ref.m + ref.B @ context_vector(p, ref.keys))
+            assert np.array_equal(e, normalize_energies(content_energies(ref.params, ref.m, ref.keys)))
+            p = e
 
 
 class TestRunSimulation:

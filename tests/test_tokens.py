@@ -118,6 +118,21 @@ class TestEncoderBackward:
         assert np.allclose(double.w1, 2.0 * single.w1)
         assert double.b2 == pytest.approx(2.0 * single.b2)
 
+    def test_rejects_nonfinite_params(self):
+        params = DurationEncoderParams.init(0, hidden=4)
+        params.w1[0, 0] = np.nan
+        feats = DurationFeatures(rows=np.array([[0.5, 120.0, 3.0], [1.0, 60.0, 4.0]]))
+        with pytest.raises(ValueError, match="non-finite encoder parameter"):
+            encoder_backward(params, feats, np.ones(2))
+
+    def test_rejects_a_feature_dimension_mismatch(self):
+        params = DurationEncoderParams(w1=np.zeros((4, 2)), b1=np.zeros(4), w2=np.zeros(4), b2=0.0)
+        feats = DurationFeatures(rows=np.array([[0.5, 120.0, 3.0]]))
+        with pytest.raises(ValueError, match="parameter/feature dimension mismatch"):
+            encoder_forward(params, feats)
+        with pytest.raises(ValueError, match="parameter/feature dimension mismatch"):
+            encoder_backward(params, feats, np.ones(1))
+
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_rejects_nonfinite_upstream(self, bad):
         params = DurationEncoderParams.init(5, hidden=4)
