@@ -23,14 +23,9 @@ everywhere the gdca weights are exactly half the fa weights (including
 the absorbing boundary), so the two mechanisms agree bit-for-bit after
 normalization.
 
-``lattice_forward`` also takes a leading batch axis: tokens of shape
-(B, N), energies of shape (B, T, N), or both, with an unbatched side
-shared by every sequence; the result is (B, T+1, N).  The batch runs the
-same kernel, laid out phoneme-first as (N, B) columns, with neither the
-window filter nor the backward cache.  A column is summed in sequence
-where a single row is summed pairwise, so a batched sequence matches its
-unbatched run bit for bit only for N < 8, and to rounding (about 1e-13
-at N = 256) above.
+Every public type and function holds one sequence: tokens are one (N,)
+vector and an alignment one (T, N) matrix.  Only the gradient check
+runs many sequences at once, through the private ``_batch_forward``.
 """
 
 from __future__ import annotations
@@ -192,27 +187,26 @@ class AlignmentDistribution:
 
 @dataclass
 class AlignmentMatrix:
-    """Rows are decoder steps, columns are phonemes; a batch of B
-    alignments stacks them on a leading axis."""
+    """Rows are decoder steps, columns are phonemes."""
 
-    probs: np.ndarray  # (T, N) or (B, T, N)
+    probs: np.ndarray  # (T, N)
     cache: "LatticeCache | None" = None
 
     def __post_init__(self):
         self.probs = np.asarray(self.probs, dtype=np.float64)
-        if self.probs.ndim not in (2, 3):
-            raise ValueError("alignment matrix must be 2-D, or 3-D for a batch")
+        if self.probs.ndim != 2:
+            raise ValueError(f"alignment matrix must be one (T, N) array; got shape {self.probs.shape}")
 
     @property
     def n_steps(self) -> int:
-        return self.probs.shape[-2]
+        return self.probs.shape[0]
 
     @property
     def n_phonemes(self) -> int:
-        return self.probs.shape[-1]
+        return self.probs.shape[1]
 
     def argmax_path(self) -> np.ndarray:
-        return np.argmax(self.probs, axis=-1)
+        return np.argmax(self.probs, axis=1)
 
 
 @dataclass(frozen=True)
@@ -270,27 +264,25 @@ def _shift_weights(q: np.ndarray, convention: str) -> tuple[np.ndarray, np.ndarr
 
 class _Kernel:
     """One run's step kernel, for rows of ``shape``: (N,), or (N, B)
-    columns for a batch, with (N, B) or shared (N, 1) weights.  Its
-    constructor is the one place that dispatches on the mechanism.
+    columns for a batch, with raw tokens ``q`` laid out the same way.
+    Its constructor is the one place that dispatches on the mechanism.
 
     A ``whole`` kernel (la without the filter: no recursion) also takes
     T steps at once as the (N, T) columns of a transposed (T, N) energy
     block; numpy then sums each contiguous row pairwise, as it sums one
     step's, so the rows are bit for bit those of T single steps."""
 
-    def __init__(self, mechanism: str, q: TransitionTokens | None, opts: StepOptions, shape: tuple):
+    def __init__(self, mechanism: str, q: np.ndarray | None, opts: StepOptions, shape: tuple):
         n = shape[0]
         self.stay = None  # la has no weights
         if mechanism == "fa":  # gdca at q = 0.5, doubled: move 1, stay 1, final stay 2
-            move, stay = _shift_weights(np.full(n, 0.5), "prose")
+            move, stay = _shift_weights(np.full(shape, 0.5), "prose")
             move, self.stay = 2.0 * move, 2.0 * stay
         elif mechanism == "gdca":
             if q is None or len(q) != n:
                 raise ValueError("gdca needs tokens matching the phoneme count")
-            move, self.stay = _shift_weights(q.q.T, opts.convention)
+            move, self.stay = _shift_weights(q, opts.convention)
         if self.stay is not None:
-            if self.stay.ndim < len(shape):  # weights shared by a batch's columns
-                move, self.stay = move[:, None], self.stay[:, None]
             self.move1 = move[1:]
             self.a = np.empty(shape)
             self.head = np.empty((n - 1,) + shape[1:])
@@ -356,7 +348,7 @@ def dynamic_filter(p_prev: AlignmentDistribution | np.ndarray, width: int = 16, 
     return p * window_mask(p.size, int(np.argmax(p)), width, shape)
 
 
-def _public_step(mechanism: str, p: np.ndarray, q: TransitionTokens | None, e: np.ndarray, opts: StepOptions):
+def _public_step(mechanism: str, p: np.ndarray, q: np.ndarray | None, e: np.ndarray, opts: StepOptions):
     out = np.empty(e.size)
     _Kernel(mechanism, q, opts, e.shape).step(p, e, out)
     return out
@@ -372,7 +364,7 @@ def gdca_step(
     e = _finite_energy(e_norm)
     if q.q.shape != (e.size,) or p_prev.p.size != e.size:
         raise ValueError("length mismatch between alignment, tokens, and energies")
-    return AlignmentDistribution(p=_public_step("gdca", p_prev.p, q, e, opts), step=p_prev.step + 1)
+    return AlignmentDistribution(p=_public_step("gdca", p_prev.p, q.q, e, opts), step=p_prev.step + 1)
 
 
 def fa_step(
@@ -440,39 +432,39 @@ def lattice_forward(
     the stepped alignments.  ``normalize=True`` applies the stable
     softmax to each energy row first.  A cache for the backward pass is
     recorded only for the unfiltered gdca mechanism.
-
-    Batched tokens (q of shape (B, N)) or batched energies (B, T, N), or
-    both, run B sequences in one pass and give probs of shape
-    (B, T+1, N); an unbatched side is shared by every sequence.  A batch
-    runs neither the window filter nor the backward cache.
     """
     energies = _finite_energy(energies)
-    if energies.ndim not in (2, 3):
-        raise ValueError("energies must be a (T, N) matrix or a (B, T, N) batch")
-    t_steps, n = energies.shape[-2:]
+    if energies.ndim != 2:
+        raise ValueError("energies must be a (T, N) matrix")
+    t_steps, n = energies.shape
     if normalize:
         energies = normalize_energies(energies)
     if keep_cache and (opts.mechanism != "gdca" or opts.filter_enabled):
         raise ValueError("backward cache requires unfiltered gdca")
-    q_batch = q.q.shape[0] if q is not None and q.q.ndim == 2 else None
-    batch = energies.shape[0] if energies.ndim == 3 else q_batch
-    if q_batch is not None and q_batch != batch:
-        raise ValueError(f"batch sizes differ: {q_batch} token rows, {batch} energy matrices")
-    if batch is not None:
-        if opts.filter_enabled or keep_cache:
-            raise ValueError("a batched lattice runs neither the window filter nor the backward cache")
-        # phoneme-first (N, B) columns, so the kernel runs unchanged
-        energies = np.ascontiguousarray(energies.transpose(1, 2, 0)) if energies.ndim == 3 else energies[..., None]
-
-    rows = np.empty((t_steps + 1, n) if batch is None else (t_steps + 1, n, batch))
-    rows[0] = init_alignment(n).p if batch is None else init_alignment(n).p[:, None]
-    kernel = _Kernel(opts.mechanism, q, opts, rows.shape[1:])
+    rows = np.empty((t_steps + 1, n))
+    rows[0] = init_alignment(n).p
+    kernel = _Kernel(opts.mechanism, None if q is None else q.q, opts, (n,))
     a_rows = np.empty((t_steps, n)) if keep_cache else None
     sums = [kernel.step(rows[t], energies[t], rows[t + 1], a_rows[t] if keep_cache else None) for t in range(t_steps)]
-    if batch is not None:
-        return AlignmentMatrix(probs=np.ascontiguousarray(rows.transpose(2, 0, 1)))
     cache = LatticeCache(q.q.copy(), energies.copy(), rows, a_rows, np.array(sums), opts.convention) if keep_cache else None
     return AlignmentMatrix(probs=rows, cache=cache)
+
+
+def _batch_forward(q: np.ndarray, energies: np.ndarray, opts: StepOptions) -> np.ndarray:
+    """B unfiltered runs of ``lattice_forward`` in one pass, for the
+    gradient check: (B, N) tokens and (B, T, N) normalized energies give
+    the (B, T+1, N) rows.  The kernel steps phoneme-first (N, B) columns,
+    whose normalizer sums each column in sequence where a single run sums
+    its row pairwise, so a sequence equals its own run bit for bit only
+    for N < 8, and to rounding (about 1e-13 at N = 256) above."""
+    batch, t_steps, n = energies.shape
+    columns = np.ascontiguousarray(energies.transpose(1, 2, 0))
+    rows = np.empty((t_steps + 1, n, batch))
+    rows[0] = init_alignment(n).p[:, None]
+    kernel = _Kernel(opts.mechanism, q.T, opts, (n, batch))
+    for t in range(t_steps):
+        kernel.step(rows[t], columns[t], rows[t + 1])
+    return np.ascontiguousarray(rows.transpose(2, 0, 1))
 
 
 def lattice_backward(alignment: AlignmentMatrix, d_probs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -522,8 +514,6 @@ def pure_lattice_occupancy(q: TransitionTokens | np.ndarray, horizon: int) -> np
     passes the point of numerical absorption.
     """
     qv = q.q if isinstance(q, TransitionTokens) else TransitionTokens(q=q).q
-    if qv.ndim != 1:
-        raise ValueError("occupancy takes one (N,) token vector, not a batch")
     if horizon < 0:
         raise ValueError("negative horizon")
     p = init_alignment(qv.size).p
@@ -540,9 +530,7 @@ def pure_lattice_occupancy(q: TransitionTokens | np.ndarray, horizon: int) -> np
 # Exports
 
 
-def _single(alignment: AlignmentMatrix) -> tuple[int, int]:
-    if alignment.probs.ndim != 2:
-        raise ValueError("exports take one (T, N) alignment, not a batch")
+def _finite_shape(alignment: AlignmentMatrix) -> tuple[int, int]:
     if not np.isfinite(alignment.probs).all():
         raise ValueError("non-finite alignment probability")
     return alignment.probs.shape
@@ -565,7 +553,7 @@ def alignment_to_csv(alignment: AlignmentMatrix) -> str:
     dropped; ``_shortest`` finds the digits of every cell but +0.0, so
     the cost follows the size of the alignment, not its values, and the
     memory held besides the text is bounded by the block."""
-    _, n = _single(alignment)
+    _, n = _finite_shape(alignment)
     if n == 0:
         return "t,n,p\n"
     probs = alignment.probs
@@ -592,7 +580,7 @@ def alignment_to_csv(alignment: AlignmentMatrix) -> str:
 def alignment_to_pgm(alignment: AlignmentMatrix) -> bytes:
     """Binary PGM (P5): one image row per decoder step, one column per
     phoneme, pixel value round(255 * p)."""
-    t, n = _single(alignment)
+    t, n = _finite_shape(alignment)
     pixels = np.clip(np.rint(alignment.probs * 255.0), 0, 255).astype(np.uint8)
     header = f"P5\n{n} {t}\n255\n".encode("ascii")
     return header + pixels.tobytes()

@@ -3,7 +3,7 @@
 Subcommands: parse, tokens, simulate, sweep, gradcheck, train-encoder.
 Every command is deterministic given its full flag set (including
 --seed).  Exit codes: 0 success, 1 experiment-level failure, 2
-usage or I/O error.
+usage, score or I/O error.
 """
 
 from __future__ import annotations
@@ -15,7 +15,7 @@ from pathlib import Path
 import numpy as np
 
 from . import evaluate, gradcheck
-from .attention import StepOptions, alignment_to_csv, alignment_to_pgm
+from .attention import CONVENTIONS, MECHANISMS, WINDOW_SHAPES, StepOptions, alignment_to_csv, alignment_to_pgm
 from .fileio import atomic_write_bytes, atomic_write_text
 from .musicxml import parse_musicxml
 from .score import (
@@ -25,7 +25,7 @@ from .score import (
     parse_score_native,
     serialize_native,
 )
-from .simulate import SimConfig, SynthEnergySpec, run_simulation
+from .simulate import ENERGY_MODES, SimConfig, SynthEnergySpec, run_simulation
 from .tokens import (
     DurationFeatures,
     TrainConfig,
@@ -82,13 +82,13 @@ def _add_score_args(p: argparse.ArgumentParser):
 
 
 def _add_sim_args(p: argparse.ArgumentParser):
-    p.add_argument("--mechanism", choices=("la", "fa", "gdca"), default="gdca")
+    p.add_argument("--mechanism", choices=MECHANISMS, default="gdca")
     p.add_argument("--filter", action="store_true", dest="filter_enabled", help="enable the dynamic filter / window")
     p.add_argument("--L", type=int, default=16, dest="window_width", help="window width (even, default 16)")
-    p.add_argument("--window-shape", choices=("rectangular", "triangular"), default="rectangular")
-    p.add_argument("--convention", choices=("prose", "eq3-literal"), default="prose")
+    p.add_argument("--window-shape", choices=WINDOW_SHAPES, default="rectangular")
+    p.add_argument("--convention", choices=CONVENTIONS, default="prose")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--energy", choices=("oracle_diagonal", "noisy_diagonal", "adversarial_spike", "from_query_generator"), default="oracle_diagonal")
+    p.add_argument("--energy", choices=ENERGY_MODES, default="oracle_diagonal")
     p.add_argument("--noise-sigma", type=float, default=0.0)
     p.add_argument("--sharpness", type=float, default=2.0)
     p.add_argument("--max-steps", type=int, default=10000)
@@ -126,10 +126,7 @@ def cmd_parse(args) -> int:
 def cmd_tokens(args) -> int:
     score = _load_score(args.score, args.format, args.default_tempo)
     lexicon = _load_lexicon(args.lexicon)
-    try:
-        seq = expand_to_phonemes(score, lexicon)
-    except ScoreError as exc:
-        raise CliError(str(exc)) from exc
+    seq = expand_to_phonemes(score, lexicon)
     if args.source == "oracle":
         toks = oracle_tokens(seq, args.q_min)
     else:
@@ -151,10 +148,7 @@ def cmd_tokens(args) -> int:
 def cmd_simulate(args) -> int:
     score = _load_score(args.score, args.format, args.default_tempo)
     lexicon = _load_lexicon(args.lexicon)
-    try:
-        seq = expand_to_phonemes(score, lexicon)
-    except ScoreError as exc:
-        raise CliError(str(exc)) from exc
+    seq = expand_to_phonemes(score, lexicon)
     cfg = _sim_config(args)
     toks = oracle_tokens(seq, args.q_min)
     result = run_simulation(seq, toks, cfg)
@@ -292,10 +286,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except CliError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except OSError as exc:
+    except (CliError, ScoreError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

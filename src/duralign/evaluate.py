@@ -10,14 +10,14 @@ and token profiling.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
 from .attention import AlignmentMatrix
 from .score import PhonemeSequence, Score, expand_to_phonemes, with_uniform_tempo, FrameSpec
 from .simulate import SimConfig, SimResult, SynthEnergySpec, phoneme_at_frame, run_simulation
-from .tokens import TransitionTokens, oracle_tokens
+from .tokens import TransitionTokens, _durations, oracle_tokens
 
 __all__ = [
     "MECHANISM_CONFIGS",
@@ -47,8 +47,6 @@ MECHANISM_CONFIGS = (
 
 def monotonicity_score(alignment: AlignmentMatrix) -> float:
     """Fraction of consecutive step pairs with non-decreasing argmax."""
-    if alignment.probs.ndim != 2:
-        raise ValueError("monotonicity_score takes one (T, N) alignment, not a batch")
     if alignment.n_steps < 2:
         raise ValueError("need at least two steps")
     path = alignment.argmax_path()
@@ -57,8 +55,6 @@ def monotonicity_score(alignment: AlignmentMatrix) -> float:
 
 def sharpness_score(alignment: AlignmentMatrix) -> float:
     """Mean over steps of the row maximum; 1.0 for one-hot rows."""
-    if alignment.probs.ndim != 2:
-        raise ValueError("sharpness_score takes one (T, N) alignment, not a batch")
     return float(np.mean(alignment.probs.max(axis=1)))
 
 
@@ -85,17 +81,7 @@ class MechanismRow:
     failed: bool
 
     def to_json_dict(self) -> dict:
-        return {
-            "label": self.label,
-            "mechanism": self.mechanism,
-            "filter_enabled": self.filter_enabled,
-            "monotonicity": self.monotonicity,
-            "mean_max_prob": self.mean_max_prob,
-            "duration_mae_frames": self.duration_mae_frames,
-            "duration_rel_err": self.duration_rel_err,
-            "stop_step": self.stop_step,
-            "failed": self.failed,
-        }
+        return asdict(self)
 
 
 @dataclass(frozen=True)
@@ -150,11 +136,7 @@ def compare_mechanisms(
     A run is marked failed if the stop rule never fires within
     max_steps or the monotonicity score drops below 0.5.
     """
-    d = (
-        np.array(seq.target_frames, dtype=np.float64)
-        if isinstance(seq, PhonemeSequence)
-        else np.asarray(seq, dtype=np.float64)
-    )
+    d = _durations(seq)
     rows = []
     for label, mechanism, filtered in MECHANISM_CONFIGS:
         opts = replace(base_cfg.opts, mechanism=mechanism, filter_enabled=filtered)

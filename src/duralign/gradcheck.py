@@ -139,8 +139,8 @@ def check_encoder_gradients(seed: int, step: float = FD_STEP, corrupt: bool = Fa
 def check_lattice_gradients(seed: int, step: float = FD_STEP, corrupt: bool = False) -> GradCheckResult:
     """Check lattice reverse-mode gradients (dq and dE) with a
     duration-matching occupancy loss.  The finite differences run as two
-    batched forward passes: one over the perturbed tokens, one over the
-    perturbed energies."""
+    passes of the private batched forward, ``attention._batch_forward``:
+    one over the perturbed tokens, one over the perturbed energies."""
     rng = np.random.default_rng(seed)
     n, t_steps = 4, 12
     d = rng.integers(2, 6, n).astype(np.float64)
@@ -156,14 +156,14 @@ def check_lattice_gradients(seed: int, step: float = FD_STEP, corrupt: bool = Fa
     if corrupt:
         analytic = analytic + 1e-2
 
-    def loss(qv: np.ndarray, e: np.ndarray) -> np.ndarray:
+    def loss(qs: np.ndarray, es: np.ndarray) -> np.ndarray:
         """Occupancy loss of each sequence in a batched forward pass."""
-        probs = attention.lattice_forward(tokens.TransitionTokens(q=qv), e, opts).probs
+        probs = attention._batch_forward(qs, es, opts)
         return np.sum((probs.sum(axis=-2) - d) ** 2, axis=-1)
 
     numeric = _pack(
-        central_difference(lambda qs: loss(qs, energies), q0, step),
-        central_difference(lambda es: loss(q0, es), energies, step),
+        central_difference(lambda qs: loss(qs, np.broadcast_to(energies, (len(qs),) + energies.shape)), q0, step),
+        central_difference(lambda es: loss(np.broadcast_to(q0, (len(es), n)), es), energies, step),
     )
     err = relative_error(analytic, numeric)
     return GradCheckResult("lattice", err, step, err <= 1e-5)

@@ -53,6 +53,12 @@ class NoteEvent:
     duration_beats: float
     tempo_bpm: float | None = None  # per-note override; None = score default
 
+    def __post_init__(self):
+        for name in ("duration_beats", "tempo_bpm"):
+            value = getattr(self, name)
+            if value is not None and not math.isfinite(value):
+                raise ScoreError(f"non-finite {name}")
+
     def effective_tempo(self, default_bpm: float) -> float:
         return self.tempo_bpm if self.tempo_bpm is not None else default_bpm
 
@@ -64,6 +70,8 @@ class Score:
     title: str | None = None
 
     def __post_init__(self):
+        if not math.isfinite(self.default_tempo_bpm):
+            raise ScoreError("non-finite default_tempo_bpm")
         if self.default_tempo_bpm <= 0:
             raise ScoreError("non-positive default tempo")
         if not self.notes:

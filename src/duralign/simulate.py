@@ -27,7 +27,7 @@ from .attention import (
     normalize_energies,
 )
 from .score import PhonemeSequence
-from .tokens import TransitionTokens
+from .tokens import TransitionTokens, _durations
 
 __all__ = [
     "ENERGY_MODES",
@@ -213,17 +213,11 @@ def run_simulation(
     ``stop_patience`` consecutive steps (or after ``fixed_steps``).
     Hitting ``max_steps`` first flags the result instead of raising.
     """
-    d = (
-        np.array(seq.target_frames, dtype=np.float64)
-        if isinstance(seq, PhonemeSequence)
-        else np.asarray(seq, dtype=np.float64)
-    )
+    d = _durations(seq)
     if not np.all(np.isfinite(d) & (d > 0)):
         raise ValueError("durations must be finite and positive")
-    if tokens is not None and tokens.q.ndim != 1:
-        raise ValueError("run_simulation takes one (N,) token vector, not a batch")
     n = d.size
-    kernel = _Kernel(cfg.opts.mechanism, tokens, cfg.opts, (n,))
+    kernel = _Kernel(cfg.opts.mechanism, None if tokens is None else tokens.q, cfg.opts, (n,))
     stop_rule = cfg.fixed_steps is None
     limit = cfg.max_steps if stop_rule else cfg.fixed_steps
     qgen = QueryGenerator(n, cfg.seed) if cfg.energy.mode == "from_query_generator" else None
@@ -273,8 +267,6 @@ def realized_durations(alignment: AlignmentMatrix) -> tuple[np.ndarray, bool]:
     Returns (counts, monotone); monotone is False if the argmax path
     ever steps backward.
     """
-    if alignment.probs.ndim != 2:
-        raise ValueError("realized_durations takes one (T, N) alignment, not a batch")
     if alignment.n_steps == 0:
         raise ValueError("empty alignment")
     path = alignment.argmax_path()

@@ -42,19 +42,18 @@ _FEATURE_SCALE = np.array([1.0, 0.01, 0.25])
 
 @dataclass(frozen=True)
 class TransitionTokens:
-    q: np.ndarray  # shape (N,), or (B, N) for a batched lattice; each element in (0, 1]
+    q: np.ndarray  # shape (N,); each element in (0, 1]
 
     def __post_init__(self):
         q = np.asarray(self.q, dtype=np.float64)
         object.__setattr__(self, "q", q)
-        if q.ndim not in (1, 2) or q.size == 0:
-            raise ValueError("q must be a non-empty (N,) vector or (B, N) batch")
+        if q.ndim != 1 or q.size == 0:
+            raise ValueError(f"q must be one non-empty (N,) vector; got shape {q.shape}")
         if not np.all((q > 0) & (q <= 1)):
             raise ValueError("transition tokens must lie in (0, 1]")
 
     def __len__(self) -> int:
-        """The phoneme count N, also for a batch."""
-        return self.q.shape[-1]
+        return self.q.size
 
 
 @dataclass(frozen=True)
@@ -74,6 +73,13 @@ class DurationFeatures:
             raise ValueError("non-positive duration_s")
 
 
+def _durations(seq: PhonemeSequence | np.ndarray) -> np.ndarray:
+    """The frame targets of a phoneme sequence, or an array of them, as float64."""
+    if isinstance(seq, PhonemeSequence):
+        return np.array(seq.target_frames, dtype=np.float64)
+    return np.asarray(seq, dtype=np.float64)
+
+
 def oracle_tokens(seq: PhonemeSequence | np.ndarray, q_min: float = Q_MIN_DEFAULT) -> TransitionTokens:
     """Closed-form tokens: q_n = clamp(1/d_n, q_min, 1).
 
@@ -81,10 +87,7 @@ def oracle_tokens(seq: PhonemeSequence | np.ndarray, q_min: float = Q_MIN_DEFAUL
     mean 1/q, so this matches the frame target d_n exactly; larger
     durations give smaller tokens.
     """
-    if isinstance(seq, PhonemeSequence):
-        d = np.array(seq.target_frames, dtype=np.float64)
-    else:
-        d = np.asarray(seq, dtype=np.float64)
+    d = _durations(seq)
     if np.any(d < 1):
         raise ValueError("frame targets must be >= 1")
     return TransitionTokens(q=np.clip(1.0 / d, q_min, 1.0))

@@ -26,6 +26,7 @@ from duralign.attention import (
     normalize_energies,
     pure_lattice_occupancy,
     window_mask,
+    _batch_forward,
     _shift_weights,
 )
 from duralign.cli import main
@@ -434,7 +435,7 @@ def batch_problem(seed, n, t_steps=9, batch=5):
 
 
 def looped_forward(q, energies, opts, normalize=False):
-    """Reference for a batched lattice_forward: one unbatched call per sequence."""
+    """Reference for _batch_forward: one lattice_forward call per sequence."""
     batch = q.shape[0] if q.ndim == 2 else energies.shape[0]
     return np.stack(
         [
@@ -466,77 +467,64 @@ def batched_sides(q, energies, side):
     return q, energies
 
 
+def batch_forward(q, energies, opts):
+    """_batch_forward with an unbatched side shared by every sequence,
+    as the gradient check passes its token and energy stacks."""
+    batch = q.shape[0] if q.ndim == 2 else energies.shape[0]
+    n = energies.shape[-1]
+    return _batch_forward(
+        np.broadcast_to(q, (batch, q.shape[-1])), np.broadcast_to(energies, (batch, energies.shape[-2], n)), opts
+    )
+
+
 class TestLatticeBatch:
+    """The private batched forward that the lattice gradient check runs."""
+
     @pytest.mark.parametrize("side", ["tokens", "energies", "both"])
     @pytest.mark.parametrize("name", list(BATCH_OPTS))
     def test_equals_unbatched_loop_below_eight_phonemes(self, name, side):
         q, energies = batched_sides(*batch_problem(0, 4), side)
-        mat = lattice_forward(TransitionTokens(q=q), energies, BATCH_OPTS[name])
-        assert mat.probs.shape == (5, 10, 4)
-        assert np.array_equal(mat.probs, looped_forward(q, energies, BATCH_OPTS[name]))
+        probs = batch_forward(q, energies, BATCH_OPTS[name])
+        assert probs.shape == (5, 10, 4)
+        assert np.array_equal(probs, looped_forward(q, energies, BATCH_OPTS[name]))
 
     @pytest.mark.parametrize("n", [14, 64])
     @pytest.mark.parametrize("side", ["tokens", "energies", "both"])
     @pytest.mark.parametrize("name", list(BATCH_OPTS))
     def test_matches_unbatched_loop_to_rounding(self, name, side, n):
         q, energies = batched_sides(*batch_problem(n, n, t_steps=3 * n), side)
-        mat = lattice_forward(TransitionTokens(q=q), energies, BATCH_OPTS[name])
-        np.testing.assert_allclose(mat.probs, looped_forward(q, energies, BATCH_OPTS[name]), rtol=1e-12)
+        probs = batch_forward(q, energies, BATCH_OPTS[name])
+        np.testing.assert_allclose(probs, looped_forward(q, energies, BATCH_OPTS[name]), rtol=1e-12)
 
     def test_normalize_flag(self):
         q, energies = batch_problem(1, 4)
         raw = np.log(energies) + 3.0
-        mat = lattice_forward(TransitionTokens(q=q), raw, normalize=True)
-        assert np.array_equal(mat.probs, looped_forward(q, raw, StepOptions(), normalize=True))
-
-    def test_matrix_reads_last_two_axes(self):
-        q, energies = batch_problem(2, 4)
-        mat = lattice_forward(TransitionTokens(q=q), energies)
-        assert (mat.n_steps, mat.n_phonemes) == (10, 4)
-        assert mat.cache is None
-        assert np.array_equal(mat.argmax_path(), np.argmax(mat.probs, axis=2))
-
-    @pytest.mark.parametrize(
-        "opts, keep_cache",
-        [(StepOptions(filter_enabled=True), False), (StepOptions(), True)],
-        ids=["filter", "cache"],
-    )
-    @pytest.mark.parametrize("side", ["tokens", "energies"])
-    def test_rejects_filter_and_cache(self, opts, keep_cache, side):
-        q, energies = batched_sides(*batch_problem(3, 4), side)
-        with pytest.raises(ValueError, match="neither the window filter nor the backward cache"):
-            lattice_forward(TransitionTokens(q=q), energies, opts, keep_cache=keep_cache)
+        probs = batch_forward(q, normalize_energies(raw), StepOptions())
+        assert np.array_equal(probs, looped_forward(q, raw, StepOptions(), normalize=True))
 
     def test_underflow_in_one_sequence_raises(self):
         q, energies = batch_problem(7, 4)
         energies[2, 3] = 0.0
         with pytest.raises(FloatingPointError, match="underflowed"):
-            lattice_forward(TransitionTokens(q=q), energies)
-
-    def test_rejects_mismatched_batch_sizes(self):
-        q, energies = batch_problem(4, 4)
-        with pytest.raises(ValueError, match="batch sizes differ"):
-            lattice_forward(TransitionTokens(q=q[:3]), energies)
+            batch_forward(q, energies, StepOptions())
 
     def test_rejects_wrong_length_batched_tokens(self):
         q, energies = batch_problem(5, 4)
         with pytest.raises(ValueError, match="matching the phoneme count"):
-            lattice_forward(TransitionTokens(q=q[:, :3]), energies[0])
+            batch_forward(q[:, :3], energies[0], StepOptions())
 
     def test_rejects_three_dimensional_tokens(self):
-        with pytest.raises(ValueError, match=r"\(B, N\) batch"):
+        with pytest.raises(ValueError, match=r"one non-empty \(N,\) vector; got shape \(2, 3, 4\)"):
             TransitionTokens(q=np.full((2, 3, 4), 0.5))
 
     def test_single_sequence_functions_reject_a_batch(self):
+        # the public types hold one sequence, so no public function can be handed a batch
         q, energies = batch_problem(6, 4)
-        with pytest.raises(ValueError, match="length mismatch"):
-            gdca_step(init_alignment(4), TransitionTokens(q=q[:1]), energies[0, 0])
-        with pytest.raises(ValueError, match="not a batch"):
-            pure_lattice_occupancy(TransitionTokens(q=q[:1]), horizon=5)
-        mat = lattice_forward(TransitionTokens(q=q), energies)
-        for export in (alignment_to_csv, alignment_to_pgm):
-            with pytest.raises(ValueError, match="not a batch"):
-                export(mat)
+        with pytest.raises(ValueError, match=r"one non-empty \(N,\) vector; got shape \(1, 4\)"):
+            TransitionTokens(q=q[:1])
+        probs = batch_forward(q, energies, StepOptions())
+        with pytest.raises(ValueError, match=r"one \(T, N\) array; got shape \(5, 10, 4\)"):
+            AlignmentMatrix(probs=probs)
 
 
 class TestOccupancy:

@@ -40,6 +40,13 @@ class TestParse:
         assert code == 2
         assert "error:" in err
 
+    def test_non_finite_tempo_is_usage_error(self, capsys, tmp_path):
+        bad = tmp_path / "nan.json"
+        bad.write_text('{"tempo_bpm": NaN, "notes": [{"syllable": "a", "midi_pitch": 60, "duration_beats": 1}]}')
+        code, out, err = run(capsys, "parse", str(bad))
+        assert (code, out) == (2, "")
+        assert "non-finite default_tempo_bpm" in err
+
     def test_unknown_subcommand_exits_2(self):
         with pytest.raises(SystemExit) as exc:
             main(["frobnicate"])
@@ -200,6 +207,26 @@ class TestSweep:
         )
         assert code == 2
         assert "tempos" in err
+
+
+    def test_unknown_syllable_is_usage_error(self, capsys, fixtures_dir, tmp_path):
+        score = str(fixtures_dir / "musicxml" / "accidentals.musicxml")
+        for command in ("simulate", "sweep"):
+            tempos = ["--tempos", "60,120"] if command == "sweep" else []
+            code, _, err = run(capsys, command, score, "--format", "musicxml", *tempos, "--out", str(tmp_path / command))
+            assert code == 2
+            assert err.startswith("error: unknown syllable")
+
+    @pytest.mark.parametrize(
+        "tempos, message",
+        [("0,120", "non-positive default tempo"), ("nan", "non-finite default_tempo_bpm"), ("inf,120", "non-finite default_tempo_bpm")],
+    )
+    def test_bad_tempo_value_is_usage_error(self, capsys, fixtures_dir, tmp_path, tempos, message):
+        out_dir = tmp_path / "x"
+        code, _, err = run(capsys, "sweep", str(fixtures_dir / "ten_notes.json"), "--tempos", tempos, "--out", str(out_dir))
+        assert code == 2
+        assert err == f"error: {message}\n"
+        assert not out_dir.exists()
 
 
 class TestGradcheck:

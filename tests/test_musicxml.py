@@ -27,6 +27,22 @@ def test_malformed_fixture_raises(fixtures_dir, name):
         parse_musicxml(xml)
 
 
+@pytest.mark.parametrize(
+    "old, new, field",
+    [
+        # NaN != NaN, so the first note also takes it as a tempo change
+        ('<sound tempo="60"/>', '<sound tempo="nan"/>', "tempo_bpm"),
+        ('<sound tempo="60"/>', '<sound tempo="inf"/>', "default_tempo_bpm"),
+        ("<duration>1</duration>", "<duration>inf</duration>", "duration_beats"),
+    ],
+)
+def test_non_finite_values_rejected(fixtures_dir, old, new, field):
+    xml = (fixtures_dir / "musicxml" / "single_note.musicxml").read_text()
+    assert xml.count(old) == 1
+    with pytest.raises(ScoreError, match=f"non-finite {field}"):
+        parse_musicxml(xml.replace(old, new))
+
+
 def test_rest_becomes_sil(fixtures_dir):
     score = parse_musicxml((fixtures_dir / "musicxml" / "rest.musicxml").read_text())
     rests = [n for n in score.notes if n.pitch is None]

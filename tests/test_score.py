@@ -1,4 +1,5 @@
 import json
+import math
 
 import numpy as np
 import pytest
@@ -13,6 +14,7 @@ from duralign.score import (
     parse_lexicon,
     parse_score_native,
     serialize_native,
+    with_uniform_tempo,
 )
 
 
@@ -71,6 +73,19 @@ class TestParseNative:
         with pytest.raises(ScoreError):
             parse_score_native(doc)
 
+    @pytest.mark.parametrize(
+        "doc, field",
+        [
+            ('{"tempo_bpm": NaN, "notes": [{"syllable": "a", "midi_pitch": 60, "duration_beats": 1}]}', "default_tempo_bpm"),
+            ('{"tempo_bpm": Infinity, "notes": [{"syllable": "a", "midi_pitch": 60, "duration_beats": 1}]}', "default_tempo_bpm"),
+            ('{"tempo_bpm": 120, "notes": [{"syllable": "a", "midi_pitch": 60, "duration_beats": Infinity}]}', "duration_beats"),
+            ('{"tempo_bpm": 120, "notes": [{"syllable": "a", "midi_pitch": 60, "duration_beats": 1, "tempo_bpm": NaN}]}', "tempo_bpm"),
+        ],
+    )
+    def test_non_finite_values_rejected(self, doc, field):
+        with pytest.raises(ScoreError, match=f"^non-finite {field}$"):
+            parse_score_native(doc)
+
     def test_round_trip_identity(self):
         doc = {
             "tempo_bpm": 96.5,
@@ -86,6 +101,22 @@ class TestParseNative:
         assert parse_score_native(text) == score
         # canonical output is idempotent byte-for-byte
         assert serialize_native(parse_score_native(text)) == text
+
+
+class TestFiniteValues:
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_note_fields(self, value):
+        with pytest.raises(ScoreError, match="non-finite duration_beats"):
+            note(beats=value)
+        with pytest.raises(ScoreError, match="non-finite tempo_bpm"):
+            note(tempo=value)
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    def test_score_and_uniform_tempo(self, value):
+        with pytest.raises(ScoreError, match="non-finite default_tempo_bpm"):
+            Score(default_tempo_bpm=value, notes=(note(),))
+        with pytest.raises(ScoreError, match="non-finite default_tempo_bpm"):
+            with_uniform_tempo(Score(default_tempo_bpm=120, notes=(note(),)), value)
 
 
 class TestFramesFor:

@@ -191,7 +191,7 @@ class TestRunSimulation:
 
     def test_rejects_batched_tokens(self):
         d = np.array([5.0, 5.0])
-        with pytest.raises(ValueError, match="not a batch"):
+        with pytest.raises(ValueError, match=r"one non-empty \(N,\) vector"):
             run_simulation(d, TransitionTokens(q=np.full((1, 2), 0.2)), SimConfig(fixed_steps=3))
 
     @pytest.mark.parametrize("fixed_steps", [0, -2])
@@ -242,5 +242,5 @@ class TestRealizedDurations:
 
     def test_rejects_a_batch(self):
         probs = np.array([[[1.0, 0.0], [0.0, 1.0]], [[1.0, 0.0], [1.0, 0.0]]])
-        with pytest.raises(ValueError, match="realized_durations takes one"):
+        with pytest.raises(ValueError, match=r"one \(T, N\) array"):
             realized_durations(AlignmentMatrix(probs=probs))
