@@ -30,6 +30,7 @@ runs many sequences at once, through the private ``_batch_forward``.
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
@@ -65,7 +66,7 @@ __all__ = [
 MECHANISMS = ("la", "fa", "gdca")
 CONVENTIONS = ("prose", "eq3-literal")
 WINDOW_SHAPES = ("rectangular", "triangular")
-_CSV_BLOCK = 128  # alignment_to_csv writes this many rows at a time
+_CSV_BLOCK = 128  # _csv_chunks formats this many rows at a time
 
 
 # ---------------------------------------------------------------------------
@@ -531,9 +532,11 @@ def pure_lattice_occupancy(q: TransitionTokens | np.ndarray, horizon: int) -> np
 
 
 def _finite_shape(alignment: AlignmentMatrix) -> tuple[int, int]:
-    if not np.isfinite(alignment.probs).all():
+    probs = alignment.probs
+    # a NaN reaches both the min and the max, so no (T, N) mask is built
+    if probs.size and not (np.isfinite(probs.min()) and np.isfinite(probs.max())):
         raise ValueError("non-finite alignment probability")
-    return alignment.probs.shape
+    return probs.shape
 
 
 def _texts(texts: list[str]) -> np.ndarray:
@@ -541,6 +544,36 @@ def _texts(texts: list[str]) -> np.ndarray:
     width = max(map(len, texts))
     raw = "".join(text.rjust(width, "\0") for text in texts).encode("ascii")
     return np.frombuffer(raw, dtype=np.uint8).reshape(len(texts), width)
+
+
+def _csv_chunks(alignment: AlignmentMatrix) -> Iterator[bytes]:
+    """The bytes of ``alignment_to_csv``: the header, then one chunk per
+    128-row block, so a caller can write the CSV without holding it."""
+    _, n = _finite_shape(alignment)
+    yield b"t,n,p\n"
+    if n == 0:
+        return
+    cols = _texts([f"{j}," for j in range(n)])
+    zero = repr_columns(np.zeros(1))
+    for t0 in range(0, alignment.n_steps, _CSV_BLOCK):
+        yield _csv_block(alignment.probs[t0 : t0 + _CSV_BLOCK], t0, cols, zero)
+
+
+def _csv_block(block: np.ndarray, t0: int, cols: np.ndarray, zero: np.ndarray) -> bytes:
+    """The lines of rows t0, t0 + 1, ... (a function, so that its arrays
+    are freed before the next block is formatted)."""
+    mask = (block != 0.0) | np.signbit(block)  # every cell but +0.0
+    rows = _texts([f"{t}," for t in range(t0, t0 + len(block))])
+    # the text of each written cell, after the 0.0 that the others share
+    texts = np.ascontiguousarray(np.concatenate([zero, repr_columns(block[mask])], axis=1).T)
+    which = np.cumsum(mask).reshape(mask.shape) * mask
+    lines = np.concatenate([
+        np.broadcast_to(rows[:, None], block.shape + rows.shape[1:]),
+        np.broadcast_to(cols, block.shape + cols.shape[1:]),
+        texts[which],
+        np.full(block.shape + (1,), ord("\n"), dtype=np.uint8),
+    ], axis=2)
+    return lines[lines != 0].tobytes()
 
 
 def alignment_to_csv(alignment: AlignmentMatrix) -> str:
@@ -551,30 +584,10 @@ def alignment_to_csv(alignment: AlignmentMatrix) -> str:
     ``-0.0`` as ``-0.0``).  The lines are built by array operations 128
     rows at a time, in fixed columns whose zero-byte padding is then
     dropped; ``_shortest`` finds the digits of every cell but +0.0, so
-    the cost follows the size of the alignment, not its values, and the
-    memory held besides the text is bounded by the block."""
-    _, n = _finite_shape(alignment)
-    if n == 0:
-        return "t,n,p\n"
-    probs = alignment.probs
-    written = (probs != 0.0) | np.signbit(probs)  # every cell but +0.0
-    cols = _texts([f"{j}," for j in range(n)])
-    zero = repr_columns(np.zeros(1))
-    parts = [b"t,n,p\n"]
-    for t0 in range(0, len(probs), _CSV_BLOCK):
-        block, mask = probs[t0 : t0 + _CSV_BLOCK], written[t0 : t0 + _CSV_BLOCK]
-        rows = _texts([f"{t}," for t in range(t0, t0 + len(block))])
-        # the text of each written cell, after the 0.0 that the others share
-        texts = np.ascontiguousarray(np.concatenate([zero, repr_columns(block[mask])], axis=1).T)
-        which = np.cumsum(mask).reshape(mask.shape) * mask
-        lines = np.concatenate([
-            np.broadcast_to(rows[:, None], block.shape + rows.shape[1:]),
-            np.broadcast_to(cols, block.shape + cols.shape[1:]),
-            texts[which],
-            np.full(block.shape + (1,), ord("\n"), dtype=np.uint8),
-        ], axis=2)
-        parts.append(lines[lines != 0].tobytes())
-    return b"".join(parts).decode("ascii")
+    the cost follows the size of the alignment, not its values.  The
+    CLI writes the blocks of ``_csv_chunks`` straight to disk, so what
+    it holds besides the alignment is one block."""
+    return b"".join(_csv_chunks(alignment)).decode("ascii")
 
 
 def alignment_to_pgm(alignment: AlignmentMatrix) -> bytes:

@@ -10,12 +10,13 @@ from __future__ import annotations
 
 import argparse
 import sys
+from contextlib import contextmanager
 from pathlib import Path
 
 import numpy as np
 
 from . import evaluate, gradcheck
-from .attention import CONVENTIONS, MECHANISMS, WINDOW_SHAPES, StepOptions, alignment_to_csv, alignment_to_pgm
+from .attention import CONVENTIONS, MECHANISMS, WINDOW_SHAPES, StepOptions, _csv_chunks, alignment_to_pgm
 from .fileio import atomic_write_bytes, atomic_write_text
 from .musicxml import parse_musicxml
 from .score import (
@@ -48,6 +49,15 @@ class CliError(Exception):
     """Usage or I/O error; maps to exit code 2."""
 
 
+@contextmanager
+def _usage_errors(prefix: str = ""):
+    """Report a library's rejection of its input (a ValueError) as a CliError."""
+    try:
+        yield
+    except ValueError as exc:
+        raise CliError(f"{prefix}{exc}") from exc
+
+
 def _read_file(path: str) -> str:
     try:
         return Path(path).read_text(encoding="utf-8")
@@ -57,21 +67,18 @@ def _read_file(path: str) -> str:
 
 def _load_score(path: str, fmt: str, default_tempo: float | None):
     text = _read_file(path)
-    try:
+    with _usage_errors(f"{path}: "):
         if fmt == "musicxml":
             return parse_musicxml(text, default_tempo)
         return parse_score_native(text)
-    except ScoreError as exc:
-        raise CliError(f"{path}: {exc}") from exc
 
 
 def _load_lexicon(path: str | None):
     if path is None:
         return None
-    try:
-        return parse_lexicon(_read_file(path))
-    except ScoreError as exc:
-        raise CliError(f"{path}: {exc}") from exc
+    text = _read_file(path)
+    with _usage_errors(f"{path}: "):
+        return parse_lexicon(text)
 
 
 def _add_score_args(p: argparse.ArgumentParser):
@@ -97,7 +104,7 @@ def _add_sim_args(p: argparse.ArgumentParser):
 
 
 def _sim_config(args) -> SimConfig:
-    try:
+    with _usage_errors():
         opts = StepOptions(
             mechanism=args.mechanism,
             filter_enabled=args.filter_enabled,
@@ -113,8 +120,6 @@ def _sim_config(args) -> SimConfig:
             max_steps=args.max_steps,
             fixed_steps=args.fixed_steps,
         )
-    except ValueError as exc:
-        raise CliError(str(exc)) from exc
 
 
 def cmd_parse(args) -> int:
@@ -128,14 +133,14 @@ def cmd_tokens(args) -> int:
     lexicon = _load_lexicon(args.lexicon)
     seq = expand_to_phonemes(score, lexicon)
     if args.source == "oracle":
-        toks = oracle_tokens(seq, args.q_min)
+        with _usage_errors():
+            toks = oracle_tokens(seq, args.q_min)
     else:
         if args.params is None:
             raise CliError("--source encoder requires --params")
-        try:
-            params = params_from_text(_read_file(args.params))
-        except ValueError as exc:
-            raise CliError(f"{args.params}: {exc}") from exc
+        text = _read_file(args.params)
+        with _usage_errors(f"{args.params}: "):
+            params = params_from_text(text)
         toks = encoder_forward(params, duration_features(seq, score=score))
     csv = tokens_to_csv(seq, toks)
     if args.out:
@@ -150,12 +155,13 @@ def cmd_simulate(args) -> int:
     lexicon = _load_lexicon(args.lexicon)
     seq = expand_to_phonemes(score, lexicon)
     cfg = _sim_config(args)
-    toks = oracle_tokens(seq, args.q_min)
+    with _usage_errors():
+        toks = oracle_tokens(seq, args.q_min)
     result = run_simulation(seq, toks, cfg)
 
     out = Path(args.out)
     atomic_write_text(out / "report.json", result.to_json())
-    atomic_write_text(out / "alignment.csv", alignment_to_csv(result.alignment))
+    atomic_write_bytes(out / "alignment.csv", _csv_chunks(result.alignment))
     atomic_write_bytes(out / "alignment.pgm", alignment_to_pgm(result.alignment))
     mono = evaluate.monotonicity_score(result.alignment) if result.alignment.n_steps >= 2 else 1.0
     print(f"stop_step={result.stop_step} stopped_by={result.stopped_by} monotonicity={mono:.3f}")
@@ -175,11 +181,12 @@ def cmd_sweep(args) -> int:
     if not tempos:
         raise CliError("empty --tempos list")
     cfg = _sim_config(args)
-    sweep = evaluate.tempo_sweep(score, tempos, cfg, lexicon=lexicon, q_min=args.q_min)
+    with _usage_errors():
+        sweep = evaluate.tempo_sweep(score, tempos, cfg, lexicon=lexicon, q_min=args.q_min)
     out = Path(args.out)
     atomic_write_text(out / "sweep.json", sweep.to_json())
     for tempo, result in zip(sweep.tempos, sweep.results):
-        atomic_write_text(out / f"alignment_{tempo:g}.csv", alignment_to_csv(result.alignment))
+        atomic_write_bytes(out / f"alignment_{tempo:g}.csv", _csv_chunks(result.alignment))
     for tempo, steps, ratio in zip(sweep.tempos, sweep.stop_steps, sweep.ratios):
         print(f"tempo={tempo:g} stop_step={steps} ratio={ratio:.4f}")
     if any(r.stopped_by == "max_steps" for r in sweep.results):
@@ -195,6 +202,8 @@ def cmd_gradcheck(args) -> int:
         "lattice": gradcheck.check_lattice_gradients,
     }
     targets = list(checks) if args.which == "all" else [args.which]
+    if args.seed < 0:
+        raise CliError("seed must be >= 0")
     ok = True
     for target in targets:
         result = checks[target](args.seed, corrupt=args.corrupt)
@@ -217,8 +226,9 @@ def _synthetic_duration_dataset(seed: int):
 
 
 def cmd_train_encoder(args) -> int:
-    feats, targets = _synthetic_duration_dataset(args.seed)
-    cfg = TrainConfig(learning_rate=args.lr, epochs=args.epochs, seed=args.seed)
+    with _usage_errors():
+        cfg = TrainConfig(learning_rate=args.lr, epochs=args.epochs, seed=args.seed)
+    feats, targets = _synthetic_duration_dataset(cfg.seed)
     try:
         params, history = train_encoder(feats, targets, cfg)
     except TrainingDiverged as exc:

@@ -17,6 +17,16 @@ __all__ = ["parse_musicxml"]
 _STEP_SEMITONES = {"C": 0, "D": 2, "E": 4, "F": 5, "G": 7, "A": 9, "B": 11}
 
 
+def _number(name: str, text: str | None, kind=float):
+    """The number in an element's text (or attribute), read by ``kind``;
+    a ScoreError naming the element and its text if it is not one."""
+    raw = (text or "").strip()
+    try:
+        return kind(raw)
+    except (ValueError, OverflowError):
+        raise ScoreError(f"<{name}> is not a number: '{raw}'") from None
+
+
 def _pitch_to_midi(pitch_el: ET.Element) -> int:
     step_el = pitch_el.find("step")
     octave_el = pitch_el.find("octave")
@@ -25,9 +35,9 @@ def _pitch_to_midi(pitch_el: ET.Element) -> int:
     step = (step_el.text or "").strip()
     if step not in _STEP_SEMITONES:
         raise ScoreError(f"unsupported pitch step '{step}'")
-    octave = int((octave_el.text or "").strip())
+    octave = _number("octave", octave_el.text, int)
     alter_el = pitch_el.find("alter")
-    alter = int(float((alter_el.text or "0").strip())) if alter_el is not None else 0
+    alter = _number("alter", alter_el.text or "0", lambda s: int(float(s))) if alter_el is not None else 0
     midi = 12 * (octave + 1) + _STEP_SEMITONES[step] + alter
     if not 0 <= midi <= 127:
         raise ScoreError(f"pitch out of MIDI range: {midi}")
@@ -38,7 +48,7 @@ def _find_tempo(el: ET.Element) -> float | None:
     for sound in el.iter("sound"):
         tempo = sound.get("tempo")
         if tempo is not None:
-            value = float(tempo)
+            value = _number("sound tempo", tempo)
             if value <= 0:
                 raise ScoreError("non-positive tempo directive")
             return value
@@ -81,7 +91,7 @@ def parse_musicxml(text: str, default_tempo_bpm: float | None = None) -> Score:
             if el.tag == "attributes":
                 div_el = el.find("divisions")
                 if div_el is not None:
-                    divisions = int((div_el.text or "").strip())
+                    divisions = _number("divisions", div_el.text, int)
                     if divisions <= 0:
                         raise ScoreError("non-positive divisions")
             elif el.tag in ("direction", "sound"):
@@ -123,7 +133,7 @@ def _parse_note(
     dur_el = el.find("duration")
     if dur_el is None:
         raise ScoreError(f"note {index} has no duration")
-    duration = float((dur_el.text or "").strip())
+    duration = _number("duration", dur_el.text)
     if duration <= 0:
         raise ScoreError(f"non-positive duration at note {index}")
     beats = duration / divisions

@@ -140,6 +140,13 @@ def _require(obj: dict, key: str, where: str):
     return obj[key]
 
 
+def _positive(value, message: str) -> float:
+    """A JSON number above zero, as a float; booleans are not numbers."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)) or value <= 0:
+        raise ScoreError(message)
+    return float(value)
+
+
 def parse_score_native(text: str) -> Score:
     """Parse the native JSON score format.
 
@@ -153,9 +160,7 @@ def parse_score_native(text: str) -> Score:
         raise ScoreError(f"malformed JSON: {exc}") from exc
     if not isinstance(doc, dict):
         raise ScoreError("top level must be an object")
-    tempo = _require(doc, "tempo_bpm", "score")
-    if not isinstance(tempo, (int, float)) or tempo <= 0:
-        raise ScoreError("non-positive tempo_bpm")
+    tempo = _positive(_require(doc, "tempo_bpm", "score"), "non-positive tempo_bpm")
     raw_notes = _require(doc, "notes", "score")
     if not isinstance(raw_notes, list) or not raw_notes:
         raise ScoreError("'notes' must be a non-empty list")
@@ -166,28 +171,23 @@ def parse_score_native(text: str) -> Score:
         syllable = _require(raw, "syllable", f"note {i}")
         pitch = _require(raw, "midi_pitch", f"note {i}")
         if pitch is not None:
-            if not isinstance(pitch, int) or not 0 <= pitch <= 127:
+            if type(pitch) is not int or not 0 <= pitch <= 127:
                 raise ScoreError(f"invalid midi_pitch at note {i}")
-        beats = _require(raw, "duration_beats", f"note {i}")
-        if not isinstance(beats, (int, float)) or beats <= 0:
-            raise ScoreError(f"non-positive duration at note {i}")
+        beats = _positive(_require(raw, "duration_beats", f"note {i}"), f"non-positive duration at note {i}")
         override = raw.get("tempo_bpm")
-        if override is not None and (not isinstance(override, (int, float)) or override <= 0):
-            raise ScoreError(f"non-positive tempo at note {i}")
+        if override is not None:
+            override = _positive(override, f"non-positive tempo at note {i}")
         phonemes = tuple(raw.get("phonemes") or ())
         if pitch is None and not phonemes:
             phonemes = (SIL_PHONEME,)
-        notes.append(
-            NoteEvent(
-                syllable=str(syllable),
-                phonemes=phonemes,
-                pitch=pitch,
-                duration_beats=float(beats),
-                tempo_bpm=float(override) if override is not None else None,
+        try:
+            notes.append(
+                NoteEvent(syllable=str(syllable), phonemes=phonemes, pitch=pitch, duration_beats=beats, tempo_bpm=override)
             )
-        )
+        except ScoreError as exc:
+            raise ScoreError(f"{exc} at note {i}") from None
     title = doc.get("title")
-    return Score(default_tempo_bpm=float(tempo), notes=tuple(notes), title=title)
+    return Score(default_tempo_bpm=tempo, notes=tuple(notes), title=title)
 
 
 def _num(x: float):

@@ -77,6 +77,8 @@ class SimConfig:
     stop_patience: int = 3  # consecutive steps with argmax parked at the last phoneme
 
     def __post_init__(self):
+        if self.seed < 0:
+            raise ValueError("seed must be >= 0")
         if self.max_steps < 1:
             raise ValueError("max_steps must be >= 1")
         if self.stop_patience < 1:

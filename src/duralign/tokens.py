@@ -9,6 +9,7 @@ to (0, 1) with hand-rolled analytic gradients.
 from __future__ import annotations
 
 import io
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -87,6 +88,8 @@ def oracle_tokens(seq: PhonemeSequence | np.ndarray, q_min: float = Q_MIN_DEFAUL
     mean 1/q, so this matches the frame target d_n exactly; larger
     durations give smaller tokens.
     """
+    if not (math.isfinite(q_min) and q_min <= 1.0):
+        raise ValueError(f"q_min must be finite and <= 1; got {q_min}")
     d = _durations(seq)
     if np.any(d < 1):
         raise ValueError("frame targets must be >= 1")
@@ -218,8 +221,10 @@ class TrainConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.learning_rate < 0:
-            raise ValueError("negative learning rate")
+        if not (math.isfinite(self.learning_rate) and self.learning_rate >= 0):
+            raise ValueError(f"learning rate must be finite and >= 0; got {self.learning_rate}")
+        if self.seed < 0:
+            raise ValueError("seed must be >= 0")
         if self.epochs < 1:
             raise ValueError("epochs must be >= 1")
         if self.batch_size < 1:

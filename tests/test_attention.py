@@ -27,6 +27,7 @@ from duralign.attention import (
     pure_lattice_occupancy,
     window_mask,
     _batch_forward,
+    _csv_chunks,
     _shift_weights,
 )
 from duralign.cli import main
@@ -770,6 +771,17 @@ class TestExports:
         probs[~np.isfinite(probs)] = -0.0
         probs[::7, 2] = 0.0
         assert alignment_to_csv(AlignmentMatrix(probs=probs)) == per_cell_csv(probs)
+
+    @pytest.mark.parametrize("n", [0, 1, 5])
+    @pytest.mark.parametrize("t_steps", [0, 1, 127, 128, 129, 257])
+    def test_csv_chunks_join_to_the_csv(self, t_steps, n):
+        probs = np.random.default_rng(t_steps * 10 + n).random((t_steps, n))
+        probs[::3, ::2] = 0.0
+        probs[1::5, 1::2] = -0.0
+        chunks = list(_csv_chunks(AlignmentMatrix(probs=probs)))
+        assert chunks[0] == b"t,n,p\n"
+        assert len(chunks) == 1 + (-(-t_steps // 128) if n else 0)  # the header, then one chunk per 128-row block
+        assert b"".join(chunks) == alignment_to_csv(AlignmentMatrix(probs=probs)).encode()
 
     @pytest.mark.parametrize("shape", [(0, 0), (0, 3), (3, 0)])
     def test_empty_csv_is_the_header(self, shape):

@@ -47,6 +47,21 @@ class TestParse:
         assert (code, out) == (2, "")
         assert "non-finite default_tempo_bpm" in err
 
+    @pytest.mark.parametrize(
+        "old, new, message",
+        [
+            ('<sound tempo="60"/>', '<sound tempo="fast"/>', "<sound tempo> is not a number: 'fast'"),
+            ("<divisions>1</divisions>", "<divisions>one</divisions>", "<divisions> is not a number: 'one'"),
+        ],
+    )
+    def test_musicxml_word_for_a_number_is_usage_error(self, capsys, fixtures_dir, tmp_path, old, new, message):
+        xml = (fixtures_dir / "musicxml" / "single_note.musicxml").read_text()
+        assert xml.count(old) == 1
+        bad = tmp_path / "bad.musicxml"
+        bad.write_text(xml.replace(old, new))
+        code, out, err = run(capsys, "parse", str(bad), "--format", "musicxml")
+        assert (code, out, err) == (2, "", f"error: {bad}: {message}\n")
+
     def test_unknown_subcommand_exits_2(self):
         with pytest.raises(SystemExit) as exc:
             main(["frobnicate"])
@@ -227,6 +242,30 @@ class TestSweep:
         assert code == 2
         assert err == f"error: {message}\n"
         assert not out_dir.exists()
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["simulate", TEN, "--seed", "-1", "--energy", "noisy_diagonal"], "seed must be >= 0"),
+        (["simulate", TEN, "--seed", "-1", "--energy", "from_query_generator"], "seed must be >= 0"),
+        (["train-encoder", "--seed", "-1"], "seed must be >= 0"),
+        (["gradcheck", "--seed", "-1"], "seed must be >= 0"),
+        (["simulate", TEN, "--q-min", "nan"], "q_min must be finite and <= 1; got nan"),
+        (["tokens", TEN, "--q-min", "nan"], "q_min must be finite and <= 1; got nan"),
+        (["sweep", TEN, "--tempos", "120", "--q-min", "inf"], "q_min must be finite and <= 1; got inf"),
+        (["simulate", TEN, "--q-min", "1.5"], "q_min must be finite and <= 1; got 1.5"),
+        (["train-encoder", "--epochs", "0"], "epochs must be >= 1"),
+        (["train-encoder", "--lr", "nan"], "learning rate must be finite and >= 0; got nan"),
+    ],
+)
+def test_out_of_range_flag_is_usage_error(capsys, tmp_path, argv, message):
+    out = tmp_path / "out"
+    if argv[0] in ("simulate", "sweep", "train-encoder"):
+        argv = [*argv, "--out", str(out)]
+    code, stdout, err = run(capsys, *argv)
+    assert (code, stdout, err) == (2, "", f"error: {message}\n")
+    assert not out.exists()
 
 
 class TestGradcheck:

@@ -1,3 +1,5 @@
+import re
+
 import pytest
 
 from duralign.musicxml import parse_musicxml
@@ -40,6 +42,25 @@ def test_non_finite_values_rejected(fixtures_dir, old, new, field):
     xml = (fixtures_dir / "musicxml" / "single_note.musicxml").read_text()
     assert xml.count(old) == 1
     with pytest.raises(ScoreError, match=f"non-finite {field}"):
+        parse_musicxml(xml.replace(old, new))
+
+
+@pytest.mark.parametrize(
+    "old, new, message",
+    [
+        ('<sound tempo="60"/>', '<sound tempo="fast"/>', "<sound tempo> is not a number: 'fast'"),
+        ("<divisions>1</divisions>", "<divisions>one</divisions>", "<divisions> is not a number: 'one'"),
+        ("<divisions>1</divisions>", "<divisions>1.5</divisions>", "<divisions> is not a number: '1.5'"),
+        ("<octave>4</octave>", "<octave>four</octave>", "<octave> is not a number: 'four'"),
+        ("<octave>4</octave>", "<octave>4</octave><alter>sharp</alter>", "<alter> is not a number: 'sharp'"),
+        ("<octave>4</octave>", "<octave>4</octave><alter>inf</alter>", "<alter> is not a number: 'inf'"),
+        ("<duration>1</duration>", "<duration></duration>", "<duration> is not a number: ''"),
+    ],
+)
+def test_word_for_a_number_names_the_element(fixtures_dir, old, new, message):
+    xml = (fixtures_dir / "musicxml" / "single_note.musicxml").read_text()
+    assert xml.count(old) == 1
+    with pytest.raises(ScoreError, match=f"^{re.escape(message)}$"):
         parse_musicxml(xml.replace(old, new))
 
 

@@ -83,8 +83,32 @@ class TestParseNative:
         ],
     )
     def test_non_finite_values_rejected(self, doc, field):
-        with pytest.raises(ScoreError, match=f"^non-finite {field}$"):
+        where = "" if field == "default_tempo_bpm" else " at note 0"  # a per-note value names its note
+        with pytest.raises(ScoreError, match=f"^non-finite {field}{where}$"):
             parse_score_native(doc)
+
+    @pytest.mark.parametrize(
+        "doc, message",
+        [
+            ({"tempo_bpm": True, "notes": [{"syllable": "a", "midi_pitch": 60, "duration_beats": 1}]}, "non-positive tempo_bpm"),
+            ({"tempo_bpm": 120, "notes": [{"syllable": "a", "midi_pitch": 60, "duration_beats": True}]}, "non-positive duration at note 0"),
+            (
+                {"tempo_bpm": 120, "notes": [{"syllable": "a", "midi_pitch": 60, "duration_beats": 1, "tempo_bpm": True}]},
+                "non-positive tempo at note 0",
+            ),
+            ({"tempo_bpm": 120, "notes": [{"syllable": "a", "midi_pitch": True, "duration_beats": 1}]}, "invalid midi_pitch at note 0"),
+        ],
+    )
+    def test_booleans_are_not_numbers(self, doc, message):
+        with pytest.raises(ScoreError, match=f"^{message}$"):
+            parse_score_native(json.dumps(doc))
+
+    @pytest.mark.parametrize("field", ["duration_beats", "tempo_bpm"])
+    def test_non_finite_note_value_names_its_note(self, field):
+        notes = [{"syllable": "a", "midi_pitch": 60, "duration_beats": 1} for _ in range(3)]
+        notes[1][field] = math.nan
+        with pytest.raises(ScoreError, match=f"^non-finite {field} at note 1$"):
+            parse_score_native(json.dumps({"tempo_bpm": 120, "notes": notes}))
 
     def test_round_trip_identity(self):
         doc = {
