@@ -13,7 +13,6 @@ Subpackages:
 """
 
 from .score import (
-    FrameSpec,
     NoteEvent,
     PhonemeEvent,
     PhonemeSequence,
@@ -65,7 +64,6 @@ from .evaluate import (
 )
 
 __all__ = [
-    "FrameSpec",
     "NoteEvent",
     "PhonemeEvent",
     "PhonemeSequence",

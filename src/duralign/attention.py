@@ -37,7 +37,7 @@ import numpy as np
 from numpy import add, divide, multiply, subtract
 
 from ._shortest import repr_columns
-from .tokens import TransitionTokens
+from .tokens import TransitionTokens, _int_fields
 
 __all__ = [
     "EnergyParams",
@@ -91,13 +91,14 @@ class EnergyParams:
                 raise ValueError("non-finite energy parameter")
 
     @classmethod
-    def init(cls, seed: int, query_dim: int = 8, key_dim: int = 8, attn_dim: int = 8, scale: float = 0.5):
+    def init(cls, seed: int, query_dim: int = 8, key_dim: int = 8, attn_dim: int = 8):
+        """Seeded N(0, 0.5^2) entries."""
         rng = np.random.default_rng(seed)
         return cls(
-            W=rng.normal(0.0, scale, (attn_dim, query_dim)),
-            V=rng.normal(0.0, scale, (attn_dim, key_dim)),
-            v=rng.normal(0.0, scale, attn_dim),
-            b=rng.normal(0.0, scale, attn_dim),
+            W=rng.normal(0.0, 0.5, (attn_dim, query_dim)),
+            V=rng.normal(0.0, 0.5, (attn_dim, key_dim)),
+            v=rng.normal(0.0, 0.5, attn_dim),
+            b=rng.normal(0.0, 0.5, attn_dim),
         )
 
 
@@ -219,6 +220,7 @@ class StepOptions:
     convention: str = "prose"
 
     def __post_init__(self):
+        _int_fields(self, "window_width")
         if self.mechanism not in MECHANISMS:
             raise ValueError(f"unknown mechanism '{self.mechanism}'")
         if self.convention not in CONVENTIONS:
@@ -287,13 +289,8 @@ class _Kernel:
             self.move1 = move[1:]
             self.a = np.empty(shape)
             self.head = np.empty((n - 1,) + shape[1:])
-        self.table = None
+        self.table = _window_table(n, opts) if opts.filter_enabled else None
         self.lo, self.hi = n - 1, 2 * n - 1  # center c's mask is table[lo - c : hi - c]
-        if opts.filter_enabled:  # the window at offsets 1-n .. n-1
-            half = opts.window_width // 2
-            offset = np.abs(np.arange(1 - n, n))
-            taper = 1.0 if opts.window_shape == "rectangular" else 1.0 - offset / (half + 1)
-            self.table = np.where(offset <= half, taper, 0.0)
         self.whole = self.stay is None and self.table is None  # la without the filter: no recursion
 
     def step(self, p: np.ndarray, e: np.ndarray, out: np.ndarray, a: np.ndarray | None = None):
@@ -322,7 +319,16 @@ class _Kernel:
         return s
 
 
-def window_mask(n: int, center: int, width: int, shape: str = "rectangular") -> np.ndarray:
+def _window_table(n: int, opts: StepOptions) -> np.ndarray:
+    """The window of ``opts`` at offsets 1-n .. n-1 from its center, so
+    that over n phonemes center c's mask is table[n-1-c : 2n-1-c]."""
+    half = opts.window_width // 2
+    offset = np.abs(np.arange(1 - n, n))
+    taper = 1.0 if opts.window_shape == "rectangular" else 1.0 - offset / (half + 1)
+    return np.where(offset <= half, taper, 0.0)
+
+
+def window_mask(n: int, center: int, width: int, shape: str = StepOptions.window_shape) -> np.ndarray:
     """Multiplicative window of total width ``width`` centered at ``center``.
 
     Keeps indices in [center - width/2, center + width/2] (clipped);
@@ -334,10 +340,12 @@ def window_mask(n: int, center: int, width: int, shape: str = "rectangular") -> 
     opts = StepOptions(filter_enabled=True, window_width=width, window_shape=shape)  # checks the window
     if not 0 <= center < n:
         raise ValueError(f"window center {center} outside [0, {n})")
-    return _Kernel("la", None, opts, (n,)).table[n - 1 - center : 2 * n - 1 - center]
+    return _window_table(n, opts)[n - 1 - center : 2 * n - 1 - center]
 
 
-def dynamic_filter(p_prev: AlignmentDistribution | np.ndarray, width: int = 16, shape: str = "rectangular") -> np.ndarray:
+def dynamic_filter(
+    p_prev: AlignmentDistribution | np.ndarray, width: int = StepOptions.window_width, shape: str = StepOptions.window_shape
+) -> np.ndarray:
     """Zero the previous alignment outside a window around its argmax.
 
     Ties break toward the smallest index.  The result is intentionally
@@ -424,22 +432,19 @@ def lattice_forward(
     q: TransitionTokens | None,
     energies: np.ndarray,
     opts: StepOptions = StepOptions(),
-    normalize: bool = False,
     keep_cache: bool = False,
 ) -> AlignmentMatrix:
-    """Run T steps of the selected mechanism over a T x N energy matrix.
+    """Run T steps of the selected mechanism over a T x N matrix of
+    normalized energies (``normalize_energies`` of the raw ones).
 
     Row 0 of the result is the initial delta distribution; rows 1..T are
-    the stepped alignments.  ``normalize=True`` applies the stable
-    softmax to each energy row first.  A cache for the backward pass is
-    recorded only for the unfiltered gdca mechanism.
+    the stepped alignments.  A cache for the backward pass is recorded
+    only for the unfiltered gdca mechanism.
     """
     energies = _finite_energy(energies)
     if energies.ndim != 2:
         raise ValueError("energies must be a (T, N) matrix")
     t_steps, n = energies.shape
-    if normalize:
-        energies = normalize_energies(energies)
     if keep_cache and (opts.mechanism != "gdca" or opts.filter_enabled):
         raise ValueError("backward cache requires unfiltered gdca")
     rows = np.empty((t_steps + 1, n))

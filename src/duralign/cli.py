@@ -2,8 +2,9 @@
 
 Subcommands: parse, tokens, simulate, sweep, gradcheck, train-encoder.
 Every command is deterministic given its full flag set (including
---seed).  Exit codes: 0 success, 1 experiment-level failure, 2
-usage, score or I/O error.
+--seed), and every flag's default is the library's own.  Exit codes:
+0 success, 1 experiment-level failure (an underflowed alignment
+included), 2 usage, score or I/O error.
 """
 
 from __future__ import annotations
@@ -28,6 +29,7 @@ from .score import (
 )
 from .simulate import ENERGY_MODES, SimConfig, SynthEnergySpec, run_simulation
 from .tokens import (
+    Q_MIN_DEFAULT,
     DurationFeatures,
     TrainConfig,
     TrainingDiverged,
@@ -89,18 +91,18 @@ def _add_score_args(p: argparse.ArgumentParser):
 
 
 def _add_sim_args(p: argparse.ArgumentParser):
-    p.add_argument("--mechanism", choices=MECHANISMS, default="gdca")
+    p.add_argument("--mechanism", choices=MECHANISMS, default=StepOptions.mechanism)
     p.add_argument("--filter", action="store_true", dest="filter_enabled", help="enable the dynamic filter / window")
-    p.add_argument("--L", type=int, default=16, dest="window_width", help="window width (even, default 16)")
-    p.add_argument("--window-shape", choices=WINDOW_SHAPES, default="rectangular")
-    p.add_argument("--convention", choices=CONVENTIONS, default="prose")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--energy", choices=ENERGY_MODES, default="oracle_diagonal")
-    p.add_argument("--noise-sigma", type=float, default=0.0)
-    p.add_argument("--sharpness", type=float, default=2.0)
-    p.add_argument("--max-steps", type=int, default=10000)
-    p.add_argument("--fixed-steps", type=int, default=None)
-    p.add_argument("--q-min", type=float, default=1e-4)
+    p.add_argument("--L", type=int, default=StepOptions.window_width, dest="window_width", help="window width (even, default %(default)s)")
+    p.add_argument("--window-shape", choices=WINDOW_SHAPES, default=StepOptions.window_shape)
+    p.add_argument("--convention", choices=CONVENTIONS, default=StepOptions.convention)
+    p.add_argument("--seed", type=int, default=SimConfig.seed)
+    p.add_argument("--energy", choices=ENERGY_MODES, default=SynthEnergySpec.mode)
+    p.add_argument("--noise-sigma", type=float, default=SynthEnergySpec.noise_sigma)
+    p.add_argument("--sharpness", type=float, default=SynthEnergySpec.sharpness)
+    p.add_argument("--max-steps", type=int, default=SimConfig.max_steps)
+    p.add_argument("--fixed-steps", type=int, default=SimConfig.fixed_steps)
+    p.add_argument("--q-min", type=float, default=Q_MIN_DEFAULT)
 
 
 def _sim_config(args) -> SimConfig:
@@ -141,7 +143,7 @@ def cmd_tokens(args) -> int:
         text = _read_file(args.params)
         with _usage_errors(f"{args.params}: "):
             params = params_from_text(text)
-        toks = encoder_forward(params, duration_features(seq, score=score))
+        toks = encoder_forward(params, duration_features(seq, score))
     csv = tokens_to_csv(seq, toks)
     if args.out:
         atomic_write_text(args.out, csv)
@@ -163,7 +165,7 @@ def cmd_simulate(args) -> int:
     atomic_write_text(out / "report.json", result.to_json())
     atomic_write_bytes(out / "alignment.csv", _csv_chunks(result.alignment))
     atomic_write_bytes(out / "alignment.pgm", alignment_to_pgm(result.alignment))
-    mono = evaluate.monotonicity_score(result.alignment) if result.alignment.n_steps >= 2 else 1.0
+    mono = evaluate._run_monotonicity(result.alignment)
     print(f"stop_step={result.stop_step} stopped_by={result.stopped_by} monotonicity={mono:.3f}")
     if result.stopped_by == "max_steps":
         print("simulation failed: stop rule never fired", file=sys.stderr)
@@ -257,7 +259,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_score_args(p)
     p.add_argument("--source", choices=("oracle", "encoder"), default="oracle")
     p.add_argument("--params", default=None, help="encoder parameter file (for --source encoder)")
-    p.add_argument("--q-min", type=float, default=1e-4)
+    p.add_argument("--q-min", type=float, default=Q_MIN_DEFAULT)
     p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_tokens)
 
@@ -281,9 +283,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_gradcheck)
 
     p = sub.add_parser("train-encoder", help="train the duration encoder on the synthetic sweep")
-    p.add_argument("--epochs", type=int, default=800)
-    p.add_argument("--lr", type=float, default=2.0)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--epochs", type=int, default=TrainConfig.epochs)
+    p.add_argument("--lr", type=float, default=TrainConfig.learning_rate)
+    p.add_argument("--seed", type=int, default=TrainConfig.seed)
     p.add_argument("--out", required=True, help="parameter file path")
     p.add_argument("--loss-history", default=None, help="loss-history CSV path")
     p.set_defaults(func=cmd_train_encoder)
@@ -299,6 +301,9 @@ def main(argv: list[str] | None = None) -> int:
     except (CliError, ScoreError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    except FloatingPointError as exc:  # an alignment normalizer underflowed mid-run
+        print(f"simulation failed: {exc}", file=sys.stderr)
+        return EXIT_EXPERIMENT_FAILED
 
 
 if __name__ == "__main__":

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -68,6 +68,31 @@ def _pack(*arrays: np.ndarray) -> np.ndarray:
     return np.concatenate([np.asarray(a, dtype=np.float64).ravel() for a in arrays])
 
 
+def _check_parameters(target: str, params, grads, loss, step: float, corrupt: bool) -> GradCheckResult:
+    """Check ``grads`` against central differences of ``loss(params)``.
+
+    ``params`` and ``grads`` are dataclasses with the same fields; both
+    are flattened in field order, and each perturbed point is rebuilt
+    into a ``params`` of the same type (a scalar field as a float)."""
+    names = [f.name for f in fields(params)]
+    shapes = [np.shape(getattr(params, name)) for name in names]
+    bounds = np.cumsum([0] + [int(np.prod(shape)) for shape in shapes])
+
+    def rebuild(theta: np.ndarray):
+        parts = [
+            theta[lo:hi].reshape(shape) if shape else float(theta[lo]) for lo, hi, shape in zip(bounds, bounds[1:], shapes)
+        ]
+        return type(params)(**dict(zip(names, parts)))
+
+    analytic = _pack(*(getattr(grads, name) for name in names))
+    if corrupt:
+        analytic = analytic + 1e-2
+    theta0 = _pack(*(getattr(params, name) for name in names))
+    numeric = central_difference(lambda thetas: [loss(rebuild(theta)) for theta in thetas], theta0, step)
+    err = relative_error(analytic, numeric)
+    return GradCheckResult(target, err, step, err <= 1e-5)
+
+
 def check_energy_gradients(seed: int, step: float = FD_STEP, corrupt: bool = False) -> GradCheckResult:
     """Check content-energy parameter gradients against finite differences."""
     rng = np.random.default_rng(seed)
@@ -76,64 +101,28 @@ def check_energy_gradients(seed: int, step: float = FD_STEP, corrupt: bool = Fal
     query = rng.normal(0.0, 1.0, qd)
     keys = rng.normal(0.0, 1.0, (n, kd))
     upstream = rng.normal(0.0, 1.0, n)
-
     grads = attention.content_energies_backward(params, query, keys, upstream)
-    analytic = _pack(grads.W, grads.V, grads.v, grads.b)
-    if corrupt:
-        analytic = analytic + 1e-2
 
-    shapes = [params.W.shape, params.V.shape, params.v.shape, params.b.shape]
-    theta0 = _pack(params.W, params.V, params.v, params.b)
-
-    def loss(theta: np.ndarray) -> float:
-        offset = 0
-        arrays = []
-        for shape in shapes:
-            size = int(np.prod(shape))
-            arrays.append(theta[offset : offset + size].reshape(shape))
-            offset += size
-        p = attention.EnergyParams(W=arrays[0], V=arrays[1], v=arrays[2], b=arrays[3])
+    def loss(p: attention.EnergyParams) -> float:
         return float(np.dot(upstream, attention.content_energies(p, query, keys)))
 
-    numeric = central_difference(lambda thetas: [loss(theta) for theta in thetas], theta0, step)
-    err = relative_error(analytic, numeric)
-    return GradCheckResult("energies", err, step, err <= 1e-5)
+    return _check_parameters("energies", params, grads, loss, step, corrupt)
 
 
 def check_encoder_gradients(seed: int, step: float = FD_STEP, corrupt: bool = False) -> GradCheckResult:
     """Check duration-encoder parameter gradients against finite differences."""
     rng = np.random.default_rng(seed)
-    hidden, n = 6, 8
-    params = tokens.DurationEncoderParams.init(seed, hidden=hidden)
-    rows = np.column_stack(
-        [
-            rng.uniform(0.05, 2.0, n),
-            rng.uniform(40.0, 200.0, n),
-            rng.uniform(0.0, 5.0, n),
-        ]
-    )
+    n = 8
+    params = tokens.DurationEncoderParams.init(seed, hidden=6)
+    rows = np.column_stack([rng.uniform(0.05, 2.0, n), rng.uniform(40.0, 200.0, n), rng.uniform(0.0, 5.0, n)])
     feats = tokens.DurationFeatures(rows=rows)
     upstream = rng.normal(0.0, 1.0, n)
-
     grads = tokens.encoder_backward(params, feats, upstream)
-    analytic = _pack(grads.w1, grads.b1, grads.w2, np.array([grads.b2]))
-    if corrupt:
-        analytic = analytic + 1e-2
 
-    theta0 = _pack(params.w1, params.b1, params.w2, np.array([params.b2]))
+    def loss(p: tokens.DurationEncoderParams) -> float:
+        return float(np.dot(upstream, tokens.encoder_forward(p, feats).q))
 
-    def loss(theta: np.ndarray) -> float:
-        w1 = theta[: hidden * 3].reshape(hidden, 3)
-        b1 = theta[hidden * 3 : hidden * 4]
-        w2 = theta[hidden * 4 : hidden * 5]
-        b2 = float(theta[-1])
-        p = tokens.DurationEncoderParams(w1=w1, b1=b1, w2=w2, b2=b2)
-        q = tokens.encoder_forward(p, feats).q
-        return float(np.dot(upstream, q))
-
-    numeric = central_difference(lambda thetas: [loss(theta) for theta in thetas], theta0, step)
-    err = relative_error(analytic, numeric)
-    return GradCheckResult("encoder", err, step, err <= 1e-5)
+    return _check_parameters("encoder", params, grads, loss, step, corrupt)
 
 
 def check_lattice_gradients(seed: int, step: float = FD_STEP, corrupt: bool = False) -> GradCheckResult:

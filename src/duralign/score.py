@@ -4,7 +4,7 @@ A score is an ordered list of notes; each note carries a syllable, an
 optional explicit phoneme list, a MIDI pitch (or None for a rest), a
 duration in beats, and an optional per-note tempo override.  Expansion
 converts the score to a flat phoneme sequence with per-phoneme frame
-targets on a fixed frame grid (10 ms by default).
+targets on a frame grid fixed at 10 ms (``FRAME_SHIFT_S``).
 """
 
 from __future__ import annotations
@@ -14,11 +14,11 @@ import math
 from dataclasses import dataclass, replace
 
 __all__ = [
+    "FRAME_SHIFT_S",
     "REST",
     "SIL_PHONEME",
     "NoteEvent",
     "Score",
-    "FrameSpec",
     "PhonemeEvent",
     "PhonemeSequence",
     "ScoreError",
@@ -30,6 +30,7 @@ __all__ = [
     "with_uniform_tempo",
 ]
 
+FRAME_SHIFT_S = 0.010  # seconds per decoder frame
 REST = None  # pitch value for rests
 SIL_PHONEME = "sil"
 
@@ -79,17 +80,6 @@ class Score:
 
 
 @dataclass(frozen=True)
-class FrameSpec:
-    """Decoder frame grid; one frame per ``frame_shift_s`` seconds."""
-
-    frame_shift_s: float = 0.010
-
-    def __post_init__(self):
-        if self.frame_shift_s <= 0:
-            raise ScoreError("non-positive frame shift")
-
-
-@dataclass(frozen=True)
 class PhonemeEvent:
     phoneme: str
     pitch: int | None
@@ -123,11 +113,11 @@ def _round_half_away(x: float) -> int:
     return int(math.floor(x + 0.5)) if x >= 0 else -int(math.floor(-x + 0.5))
 
 
-def frames_for(note: NoteEvent, frames: FrameSpec, default_bpm: float) -> int:
-    """Frame budget of a note: round(beats * 60/bpm / shift), minimum 1."""
+def frames_for(note: NoteEvent, default_bpm: float) -> int:
+    """Frame budget of a note: round(beats * 60/bpm / FRAME_SHIFT_S), minimum 1."""
     bpm = note.effective_tempo(default_bpm)
     seconds = note.duration_beats * 60.0 / bpm
-    return max(1, _round_half_away(seconds / frames.frame_shift_s))
+    return max(1, _round_half_away(seconds / FRAME_SHIFT_S))
 
 
 # ---------------------------------------------------------------------------
@@ -306,7 +296,6 @@ def _phonemes_and_ratios(
 def expand_to_phonemes(
     score: Score,
     lexicon: dict[str, tuple[tuple[str, float], ...]] | None = None,
-    frames: FrameSpec = FrameSpec(),
 ) -> PhonemeSequence:
     """Expand a score into per-phoneme frame targets.
 
@@ -319,7 +308,7 @@ def expand_to_phonemes(
     clamped = False
     for i, note in enumerate(score.notes):
         phonemes, ratios = _phonemes_and_ratios(note, lexicon, i)
-        budget = frames_for(note, frames, score.default_tempo_bpm)
+        budget = frames_for(note, score.default_tempo_bpm)
         shares, was_clamped = _split_frames(budget, ratios)
         clamped = clamped or was_clamped
         bpm = note.effective_tempo(score.default_tempo_bpm)

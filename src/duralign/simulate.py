@@ -27,7 +27,7 @@ from .attention import (
     normalize_energies,
 )
 from .score import PhonemeSequence
-from .tokens import TransitionTokens, _durations
+from .tokens import TransitionTokens, _durations, _int_fields
 
 __all__ = [
     "ENERGY_MODES",
@@ -77,14 +77,17 @@ class SimConfig:
     stop_patience: int = 3  # consecutive steps with argmax parked at the last phoneme
 
     def __post_init__(self):
+        _int_fields(self, "seed", "max_steps", "stop_patience")
         if self.seed < 0:
             raise ValueError("seed must be >= 0")
         if self.max_steps < 1:
             raise ValueError("max_steps must be >= 1")
         if self.stop_patience < 1:
             raise ValueError("stop_patience must be >= 1")
-        if self.fixed_steps is not None and self.fixed_steps < 1:
-            raise ValueError("fixed_steps must be >= 1")
+        if self.fixed_steps is not None:
+            _int_fields(self, "fixed_steps")
+            if self.fixed_steps < 1:
+                raise ValueError("fixed_steps must be >= 1")
 
 
 @dataclass
@@ -189,10 +192,11 @@ class QueryGenerator:
     context c_{t-1} closes the loop with the previous alignment.
     """
 
-    def __init__(self, n_phonemes: int, seed: int, dim: int = 8):
+    def __init__(self, n_phonemes: int, seed: int):
+        self.params = EnergyParams.init(seed)  # 8-dimensional queries, keys and scores
+        dim = self.params.W.shape[1]
         rng = np.random.default_rng([seed, 0xC0FFEE])
         self.keys = rng.normal(0.0, 1.0, (n_phonemes, dim))
-        self.params = EnergyParams.init(seed, query_dim=dim, key_dim=dim, attn_dim=dim)
         self.A = rng.normal(0.0, 0.4, (dim, dim))
         self.B = rng.normal(0.0, 0.4, (dim, dim))
         self.m = rng.normal(0.0, 1.0, dim)

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .score import PhonemeSequence
+from .score import PhonemeSequence, Score
 
 __all__ = [
     "Q_MIN_DEFAULT",
@@ -74,6 +74,16 @@ class DurationFeatures:
             raise ValueError("non-positive duration_s")
 
 
+def _int_fields(settings, *names: str):
+    """Check that each named field of a frozen settings dataclass holds an
+    integer (a numpy one too, but not a bool), and store it as an int."""
+    for name in names:
+        value = getattr(settings, name)
+        if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+            raise ValueError(f"{name} must be an integer; got {value}")
+        object.__setattr__(settings, name, int(value))
+
+
 def _durations(seq: PhonemeSequence | np.ndarray) -> np.ndarray:
     """The frame targets of a phoneme sequence, or an array of them, as float64."""
     if isinstance(seq, PhonemeSequence):
@@ -96,14 +106,11 @@ def oracle_tokens(seq: PhonemeSequence | np.ndarray, q_min: float = Q_MIN_DEFAUL
     return TransitionTokens(q=np.clip(1.0 / d, q_min, 1.0))
 
 
-def duration_features(seq: PhonemeSequence, default_bpm: float | None = None, score=None) -> DurationFeatures:
-    """Build encoder features from an expanded phoneme sequence."""
+def duration_features(seq: PhonemeSequence, score: Score) -> DurationFeatures:
+    """Build encoder features from a phoneme sequence and the score it expands."""
     rows = np.empty((len(seq), 3))
     for i, ev in enumerate(seq.events):
-        if score is not None:
-            bpm = score.notes[ev.note_index].effective_tempo(score.default_tempo_bpm)
-        else:
-            bpm = default_bpm if default_bpm is not None else 120.0
+        bpm = score.notes[ev.note_index].effective_tempo(score.default_tempo_bpm)
         rows[i] = (ev.duration_s, bpm, np.log(ev.target_frames))
     return DurationFeatures(rows=rows)
 
@@ -162,8 +169,8 @@ def _sigmoid(x: np.ndarray) -> np.ndarray:
     return out
 
 
-def _forward_parts(params: DurationEncoderParams, feats: DurationFeatures):
-    x = feats.rows * _FEATURE_SCALE
+def _forward_parts(params: DurationEncoderParams, rows: np.ndarray):
+    x = rows * _FEATURE_SCALE
     h = np.tanh(x @ params.w1.T + params.b1)  # (N, hidden)
     y = _sigmoid(h @ params.w2 + params.b2)  # (N,)
     return x, h, y
@@ -178,7 +185,7 @@ def _check_encoder(params: DurationEncoderParams, feats: DurationFeatures):
 def encoder_forward(params: DurationEncoderParams, feats: DurationFeatures) -> TransitionTokens:
     """Map duration features to tokens, elementwise per phoneme row."""
     _check_encoder(params, feats)
-    _, _, y = _forward_parts(params, feats)
+    _, _, y = _forward_parts(params, feats.rows)
     # Keep strictly inside (0, 1) even under extreme saturation.
     tiny = np.finfo(np.float64).tiny
     below_one = np.nextafter(1.0, 0.0)
@@ -196,7 +203,7 @@ def encoder_backward(
         raise ValueError("upstream gradient shape mismatch")
     if not np.all(np.isfinite(upstream)):
         raise ValueError("non-finite upstream gradient")
-    return _encoder_grads(params, *_forward_parts(params, feats), upstream)
+    return _encoder_grads(params, *_forward_parts(params, feats.rows), upstream)
 
 
 def _encoder_grads(
@@ -221,6 +228,7 @@ class TrainConfig:
     seed: int = 0
 
     def __post_init__(self):
+        _int_fields(self, "epochs", "batch_size", "seed")
         if not (math.isfinite(self.learning_rate) and self.learning_rate >= 0):
             raise ValueError(f"learning rate must be finite and >= 0; got {self.learning_rate}")
         if self.seed < 0:
@@ -238,13 +246,10 @@ class TrainingDiverged(RuntimeError):
 
 
 def train_encoder(
-    feats: DurationFeatures,
-    targets: TransitionTokens,
-    cfg: TrainConfig,
-    params: DurationEncoderParams | None = None,
-    hidden: int = 16,
+    feats: DurationFeatures, targets: TransitionTokens, cfg: TrainConfig
 ) -> tuple[DurationEncoderParams, list[float]]:
-    """Minibatch SGD on squared error against target tokens.
+    """Minibatch SGD on squared error against target tokens, from
+    ``DurationEncoderParams.init(cfg.seed, scale=0.2)`` (hidden size 16).
 
     Deterministic given cfg.seed; returns the trained parameters and the
     per-epoch mean loss (computed on pre-update batches).
@@ -255,8 +260,7 @@ def train_encoder(
     target = targets.q
     if target.shape != (n,):
         raise ValueError("target/feature length mismatch")
-    if params is None:
-        params = DurationEncoderParams.init(cfg.seed, hidden=hidden, scale=0.2)
+    params = DurationEncoderParams.init(cfg.seed, scale=0.2)
     rng = np.random.default_rng(cfg.seed)
     history: list[float] = []
     for epoch in range(cfg.epochs):
@@ -264,8 +268,7 @@ def train_encoder(
         batch_losses = []
         for start in range(0, n, cfg.batch_size):
             idx = order[start : start + cfg.batch_size]
-            batch = DurationFeatures(rows=feats.rows[idx])
-            x, h, y = _forward_parts(params, batch)
+            x, h, y = _forward_parts(params, feats.rows[idx])
             err = y - target[idx]
             loss = float(np.mean(err * err))
             if not np.isfinite(loss):

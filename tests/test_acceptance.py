@@ -26,7 +26,7 @@ from duralign.cli import main
 from duralign.evaluate import adversarial_spec, compare_mechanisms, tempo_sweep
 from duralign.gradcheck import check_encoder_gradients, check_energy_gradients, check_lattice_gradients
 from duralign.musicxml import parse_musicxml
-from duralign.score import FrameSpec, NoteEvent, ScoreError, frames_for, parse_score_native, serialize_native
+from duralign.score import NoteEvent, ScoreError, frames_for, parse_score_native, serialize_native
 from duralign.simulate import SimConfig, run_simulation
 from duralign.tokens import TransitionTokens, oracle_tokens
 
@@ -120,7 +120,7 @@ def test_criterion_04_token_extremes():
     rng = np.random.default_rng(2)
     n, t_steps = 8, 200
     energies = rng.normal(0.0, 2.0, (t_steps, n))
-    mat = lattice_forward(TransitionTokens(q=np.ones(n)), energies, normalize=True)
+    mat = lattice_forward(TransitionTokens(q=np.ones(n)), normalize_energies(energies))
     delta_exact = all(
         np.array_equal(mat.probs[t], np.eye(n)[min(t, n - 1)]) for t in range(t_steps + 1)
     )
@@ -281,7 +281,7 @@ def test_criterion_11_score_ingestion():
             parse_musicxml((FIXTURES / "musicxml" / f"{name}.musicxml").read_text())
         raised += 1
     note = NoteEvent("a", ("a",), 60, 1.0, tempo_bpm=60.0)
-    frames = frames_for(note, FrameSpec(), 120.0)
+    frames = frames_for(note, 120.0)
     ok = byte_ok and raised == len(bad) and frames == 100
     report(
         11,

@@ -368,15 +368,6 @@ class TestLatticeForward:
             p = gdca_step(p, q, E[t])
             assert np.array_equal(mat.probs[t + 1], p.p)
 
-    def test_normalize_flag(self):
-        rng = np.random.default_rng(4)
-        raw = rng.normal(0.0, 1.0, (5, 4))
-        normed = np.vstack([normalize_energies(r) for r in raw])
-        q = TransitionTokens(q=np.full(4, 0.4))
-        assert np.array_equal(
-            lattice_forward(q, raw, normalize=True).probs, lattice_forward(q, normed).probs
-        )
-
     def test_fa_and_la_paths(self):
         rng = np.random.default_rng(5)
         E = np.vstack([random_energies(rng, 4) for _ in range(6)])
@@ -385,12 +376,11 @@ class TestLatticeForward:
         assert fa.probs.shape == la.probs.shape == (7, 4)
         assert np.allclose(la.probs[1:], E, atol=1e-15)
 
-    @pytest.mark.parametrize("normalize", [False, True])
-    def test_rejects_nonfinite_energy_matrix(self, normalize):
+    def test_rejects_nonfinite_energy_matrix(self):
         E = np.full((5, 4), 0.25)
         E[3, 2] = np.nan
         with pytest.raises(ValueError, match="non-finite energy"):
-            lattice_forward(TransitionTokens(q=np.full(4, 0.5)), E, normalize=normalize)
+            lattice_forward(TransitionTokens(q=np.full(4, 0.5)), E)
 
     def test_gdca_requires_tokens(self):
         with pytest.raises(ValueError):
@@ -435,7 +425,7 @@ def batch_problem(seed, n, t_steps=9, batch=5):
     return q, energies
 
 
-def looped_forward(q, energies, opts, normalize=False):
+def looped_forward(q, energies, opts):
     """Reference for _batch_forward: one lattice_forward call per sequence."""
     batch = q.shape[0] if q.ndim == 2 else energies.shape[0]
     return np.stack(
@@ -444,7 +434,6 @@ def looped_forward(q, energies, opts, normalize=False):
                 TransitionTokens(q=q[i] if q.ndim == 2 else q),
                 energies[i] if energies.ndim == 3 else energies,
                 opts,
-                normalize=normalize,
             ).probs
             for i in range(batch)
         ]
@@ -496,12 +485,6 @@ class TestLatticeBatch:
         q, energies = batched_sides(*batch_problem(n, n, t_steps=3 * n), side)
         probs = batch_forward(q, energies, BATCH_OPTS[name])
         np.testing.assert_allclose(probs, looped_forward(q, energies, BATCH_OPTS[name]), rtol=1e-12)
-
-    def test_normalize_flag(self):
-        q, energies = batch_problem(1, 4)
-        raw = np.log(energies) + 3.0
-        probs = batch_forward(q, normalize_energies(raw), StepOptions())
-        assert np.array_equal(probs, looped_forward(q, raw, StepOptions(), normalize=True))
 
     def test_underflow_in_one_sequence_raises(self):
         q, energies = batch_problem(7, 4)

@@ -2,8 +2,9 @@ import json
 
 import pytest
 
-from duralign.cli import main
-from duralign.tokens import params_from_text
+from duralign.cli import _sim_config, build_parser, main
+from duralign.simulate import SimConfig
+from duralign.tokens import Q_MIN_DEFAULT, TrainConfig, params_from_text
 
 TEN = "tests/fixtures/ten_notes.json"
 
@@ -266,6 +267,36 @@ def test_out_of_range_flag_is_usage_error(capsys, tmp_path, argv, message):
     code, stdout, err = run(capsys, *argv)
     assert (code, stdout, err) == (2, "", f"error: {message}\n")
     assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["simulate", "sweep"])
+def test_underflow_is_one_line_experiment_failure(capsys, tmp_path, command):
+    out = tmp_path / "out"
+    tempos = ["--tempos", "120"] if command == "sweep" else []
+    argv = [command, TEN, *tempos, "--out", str(out), "--energy", "noisy_diagonal", "--noise-sigma", "800", "--seed", "3"]
+    code, stdout, err = run(capsys, *argv)
+    assert (code, stdout) == (1, "")
+    assert err == "simulation failed: alignment normalizer underflowed; inconsistent filter/energy combination\n"
+    assert not out.exists()
+
+
+class TestDefaults:
+    """A flag left out takes the library's own default."""
+
+    @pytest.mark.parametrize("extra", [[], ["--tempos", "120"]], ids=["simulate", "sweep"])
+    def test_simulation_flags(self, extra):
+        command = "sweep" if extra else "simulate"
+        args = build_parser().parse_args([command, TEN, *extra, "--out", "d"])
+        assert _sim_config(args) == SimConfig()
+        assert args.q_min == Q_MIN_DEFAULT
+
+    def test_tokens_flags(self):
+        assert build_parser().parse_args(["tokens", TEN]).q_min == Q_MIN_DEFAULT
+
+    def test_train_encoder_flags(self):
+        args = build_parser().parse_args(["train-encoder", "--out", "p"])
+        cfg = TrainConfig()
+        assert (args.lr, args.epochs, args.seed) == (cfg.learning_rate, cfg.epochs, cfg.seed)
 
 
 class TestGradcheck:

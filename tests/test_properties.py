@@ -14,7 +14,7 @@ from duralign.attention import (
     normalize_energies,
 )
 from duralign.tokens import DurationEncoderParams, DurationFeatures, encoder_forward, oracle_tokens
-from duralign.score import FrameSpec, NoteEvent, Score, expand_to_phonemes, frames_for
+from duralign.score import NoteEvent, Score, expand_to_phonemes, frames_for
 from duralign.tokens import TransitionTokens
 
 finite = st.floats(min_value=-50.0, max_value=50.0, allow_nan=False)
@@ -146,7 +146,7 @@ def test_expansion_conserves_note_budgets(raw_notes):
     seq = expand_to_phonemes(score)
     assert all(f >= 1 for f in seq.target_frames)
     if not seq.clamped:
-        assert sum(seq.target_frames) == sum(frames_for(n, FrameSpec(), 120) for n in notes)
+        assert sum(seq.target_frames) == sum(frames_for(n, 120) for n in notes)
 
 
 @settings(max_examples=50)

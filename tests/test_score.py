@@ -5,7 +5,6 @@ import numpy as np
 import pytest
 
 from duralign.score import (
-    FrameSpec,
     NoteEvent,
     Score,
     ScoreError,
@@ -145,16 +144,16 @@ class TestFiniteValues:
 
 class TestFramesFor:
     def test_one_beat_at_60(self):
-        assert frames_for(note(beats=1.0, tempo=60), FrameSpec(), 120) == 100
+        assert frames_for(note(beats=1.0, tempo=60), 120) == 100
 
     def test_one_beat_at_180(self):
-        assert frames_for(note(beats=1.0, tempo=180), FrameSpec(), 120) == 33
+        assert frames_for(note(beats=1.0, tempo=180), 120) == 33
 
     def test_minimum_clamp(self):
-        assert frames_for(note(beats=0.001, tempo=200), FrameSpec(), 120) == 1
+        assert frames_for(note(beats=0.001, tempo=200), 120) == 1
 
     def test_decreasing_in_tempo_until_clamp(self):
-        values = [frames_for(note(beats=1.0, tempo=t), FrameSpec(), 120) for t in (30, 60, 120, 240, 480)]
+        values = [frames_for(note(beats=1.0, tempo=t), 120) for t in (30, 60, 120, 240, 480)]
         assert values == sorted(values, reverse=True)
         clamped = False
         for a, b in zip(values, values[1:]):
@@ -214,7 +213,7 @@ class TestExpansion:
             seq = expand_to_phonemes(score)
             if seq.clamped:
                 continue
-            budgets = sum(frames_for(n, FrameSpec(), 120) for n in notes)
+            budgets = sum(frames_for(n, 120) for n in notes)
             assert sum(seq.target_frames) == budgets
 
     def test_every_phoneme_at_least_one_frame(self):

@@ -20,7 +20,7 @@ from duralign.attention import (
     init_alignment,
     normalize_energies,
 )
-from duralign.tokens import TransitionTokens, oracle_tokens
+from duralign.tokens import TrainConfig, TransitionTokens, oracle_tokens
 
 
 class TestPhonemeAtFrame:
@@ -244,3 +244,45 @@ class TestRealizedDurations:
         probs = np.array([[[1.0, 0.0], [0.0, 1.0]], [[1.0, 0.0], [1.0, 0.0]]])
         with pytest.raises(ValueError, match=r"one \(T, N\) array"):
             realized_durations(AlignmentMatrix(probs=probs))
+
+
+@pytest.mark.parametrize(
+    "settings, field, value",
+    [
+        (SimConfig, "max_steps", np.nan),
+        (SimConfig, "max_steps", 1.5),
+        (SimConfig, "max_steps", True),
+        (SimConfig, "fixed_steps", 2.5),
+        (SimConfig, "stop_patience", 2.5),
+        (SimConfig, "seed", 1.5),
+        (SimConfig, "seed", np.float64(2.0)),
+        (StepOptions, "window_width", 2.0),
+        (StepOptions, "window_width", np.nan),
+        (StepOptions, "window_width", True),
+        (TrainConfig, "epochs", 1.5),
+        (TrainConfig, "batch_size", False),
+        (TrainConfig, "seed", np.inf),
+    ],
+)
+def test_settings_reject_non_integer_fields_by_name(settings, field, value):
+    with pytest.raises(ValueError, match=f"^{field} must be an integer; got {value}$"):
+        settings(**{field: value})
+
+
+@pytest.mark.parametrize(
+    "settings, field",
+    [
+        (SimConfig, "seed"),
+        (SimConfig, "max_steps"),
+        (SimConfig, "fixed_steps"),
+        (SimConfig, "stop_patience"),
+        (StepOptions, "window_width"),
+        (TrainConfig, "epochs"),
+        (TrainConfig, "batch_size"),
+        (TrainConfig, "seed"),
+    ],
+)
+def test_settings_accept_numpy_integers_as_ints(settings, field):
+    made = settings(**{field: np.int64(4)})
+    assert type(getattr(made, field)) is int
+    assert made == settings(**{field: 4})

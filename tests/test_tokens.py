@@ -172,10 +172,10 @@ class TestTraining:
         assert exc.value.epoch == 0
 
     @staticmethod
-    def reference_training(feats, targets, cfg, hidden=16):
+    def reference_training(feats, targets, cfg):
         """train_encoder's loop with the gradients from the public
         encoder_backward, which reruns the forward pass."""
-        params = DurationEncoderParams.init(cfg.seed, hidden=hidden, scale=0.2)
+        params = DurationEncoderParams.init(cfg.seed, hidden=16, scale=0.2)
         rng = np.random.default_rng(cfg.seed)
         n = feats.rows.shape[0]
         history = []
@@ -185,7 +185,7 @@ class TestTraining:
             for start in range(0, n, cfg.batch_size):
                 idx = order[start : start + cfg.batch_size]
                 batch = DurationFeatures(rows=feats.rows[idx])
-                err = tokens_mod._forward_parts(params, batch)[2] - targets.q[idx]
+                err = tokens_mod._forward_parts(params, batch.rows)[2] - targets.q[idx]
                 batch_losses.append(float(np.mean(err * err)))
                 grads = encoder_backward(params, batch, 2.0 * err / idx.size)
                 params.w1 -= cfg.learning_rate * grads.w1
