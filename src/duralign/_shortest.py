@@ -8,7 +8,10 @@ those, the closest to it (ties to even): the Ryu algorithm (Adams, PLDI
 2018; the ``d2d`` routine of its reference implementation), with its
 64x128-bit products done in 32-bit limbs.  They are laid out as
 ``float.__repr__`` lays them out: positional while the decimal point
-position ``decpt`` is in [-3, 16], else ``d.ddde±XX``.  The work is a
+position ``decpt`` is in [-3, 16], else ``d.ddde±XX``, in 29 rows:
+the sign, ``0.``, up to three zeros after it, 17 digits with one slot
+for the decimal point among them, and one suffix, ``.0`` for a whole
+number or the exponent (see ``_layout``).  The work is a
 fixed sequence of array operations plus a digit-dropping loop of a few
 passes, so the cost per value hardly depends on the values; a Python
 ``repr`` call per value costs several times more.
@@ -20,7 +23,7 @@ _U = np.uint64
 _M32 = _U(0xFFFFFFFF)
 _TEN = _U(10)
 _BITS = 125  # bit length of every 5-power multiplier below
-WIDTH = 47  # rows of a repr_columns result
+WIDTH = 29  # rows of a repr_columns result
 _NEG = 292  # column of 5**0 among the multipliers for e2 < 0
 
 
@@ -156,46 +159,54 @@ def _shortest(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _layout(digits: np.ndarray, exp: np.ndarray) -> np.ndarray:
-    """repr_columns of ``digits * 10**exp``, but for the sign in row 0."""
+    """repr_columns of ``digits * 10**exp``, but for the sign in row 0.
+    Rows 1-2 hold ``0.`` and rows 3-5 the zeros after it; rows 6-23 the
+    digits, left-aligned, with the decimal point after digit ``dot``
+    (row 6 + r holds digit r below ``dot``, the point at ``dot``, digit
+    r - 1 above); rows 24-28 the one suffix, ``.0`` or ``e±XX[X]``."""
     nd = 1 + np.searchsorted(_POW10[1:], digits, side="right")
     decpt = exp + nd
     sci = (decpt <= -4) | (decpt > 16)
     lead = ~sci & (decpt <= 0)  # 0.000ddd
     tail = ~sci & (decpt >= nd)  # ddd000.0: the zeros join the digits
-    digits = digits * _POW10[np.where(tail, decpt - nd, 0)]
+    digits = digits * _POW10[17 - nd]  # left-aligned in 17 digits
     nd = np.where(tail, decpt, nd)
     dot = np.where(sci, 1, decpt)  # digits before a point among them, else 99
     dot[lead | tail | (sci & (nd == 1))] = 99
     e = decpt - 1
-    ae = np.abs(e)
 
     out = np.zeros((WIDTH, len(digits)), dtype=np.uint8)
     out[1] = lead * ord("0")
     out[2] = lead * ord(".")
     out[3:6] = (np.arange(3)[:, None] < -decpt) & lead
     out[3:6] *= np.uint8(ord("0"))
-    # 17 digit columns, right-aligned, each followed by a slot for the
-    # decimal point, which comes after digit ``dot`` counted from the
-    # left.  The digits come from two 32-bit halves, 8 and 9 digits long.
+    # The 17 digit slots in rows 1-17 of ``chars``, from two 32-bit halves
+    # 8 and 9 digits long; row 0 (the high half's leading zero) and row 18
+    # stay 0, so chars[1:] holds the digits as they stand before the point
+    # and chars[:18] as they stand after it, one row down.
     high = digits // _U(10**9)
     halves = np.stack([high, digits - high * _U(10**9)]).astype(np.uint32)
-    chars = np.empty((2, 9, len(digits)), dtype=np.uint8)
+    chars = np.zeros((19, len(digits)), dtype=np.uint8)
+    split = chars[:18].reshape(2, 9, -1)
     for k in range(8, -1, -1):
         rest = halves // np.uint32(10)
-        chars[:, k] = halves - rest * np.uint32(10)
+        split[:, k] = halves - rest * np.uint32(10)
         halves = rest
-    chars = chars.reshape(18, -1)[1:] + np.uint8(ord("0"))
-    left = np.arange(1, 18, dtype=np.int8)[:, None] - (17 - nd).astype(np.int8)  # <= 0 before the first digit
-    chars *= left >= 1
-    out[6:40:2] = chars
-    out[7:40:2] = (left == dot.astype(np.int8)) * np.uint8(ord("."))
-    out[40] = tail * ord(".")
-    out[41] = tail * ord("0")
-    out[42] = sci * ord("e")
-    out[43] = sci * np.where(e < 0, ord("-"), ord("+"))
-    out[44] = (sci & (ae >= 100)) * (48 + ae // 100)
-    out[45] = sci * (48 + ae // 10 % 10)
-    out[46] = sci * (48 + ae % 10)
+    chars[1:18] += np.uint8(ord("0"))
+    chars[1:18] *= np.arange(17, dtype=np.int8)[:, None] < nd.astype(np.int8)
+    # chars[1:] before the point, chars[:18] from it on (uint8 sums wrap)
+    below = (np.arange(18, dtype=np.int8)[:, None] < dot.astype(np.int8)).view(np.uint8)
+    out[6:24] = chars[:18] + (chars[1:] - chars[:18]) * below
+    point = np.flatnonzero(dot < 99)
+    out[6 + dot[point], point] = ord(".")
+    out[24] = sci * ord("e") + tail * ord(".")
+    out[25] = sci * (ord("+") + 2 * (e < 0)) + tail * ord("0")  # "-" is "+" + 2
+    ae = np.abs(e).astype(np.uint16)
+    hundreds, tens = ae // np.uint16(100), ae // np.uint16(10)
+    out[26] = (hundreds != 0) * (48 + hundreds)
+    out[27] = 48 + tens - hundreds * np.uint16(10)
+    out[28] = 48 + ae - tens * np.uint16(10)
+    out[26:29] *= sci
     return out
 
 

@@ -37,7 +37,7 @@ import numpy as np
 from numpy import add, divide, multiply, subtract
 
 from ._shortest import repr_columns
-from .tokens import TransitionTokens, _int_fields
+from .tokens import TransitionTokens, _is_a, _typed_fields
 
 __all__ = [
     "EnergyParams",
@@ -220,7 +220,8 @@ class StepOptions:
     convention: str = "prose"
 
     def __post_init__(self):
-        _int_fields(self, "window_width")
+        _typed_fields(self, int, "window_width")
+        _typed_fields(self, bool, "filter_enabled")
         if self.mechanism not in MECHANISMS:
             raise ValueError(f"unknown mechanism '{self.mechanism}'")
         if self.convention not in CONVENTIONS:
@@ -520,6 +521,8 @@ def pure_lattice_occupancy(q: TransitionTokens | np.ndarray, horizon: int) -> np
     passes the point of numerical absorption.
     """
     qv = q.q if isinstance(q, TransitionTokens) else TransitionTokens(q=q).q
+    if not _is_a(horizon, int):
+        raise ValueError(f"horizon must be an integer; got {horizon}")
     if horizon < 0:
         raise ValueError("negative horizon")
     p = init_alignment(qv.size).p
@@ -578,7 +581,7 @@ def _csv_block(block: np.ndarray, t0: int, cols: np.ndarray, zero: np.ndarray) -
         texts[which],
         np.full(block.shape + (1,), ord("\n"), dtype=np.uint8),
     ], axis=2)
-    return lines[lines != 0].tobytes()
+    return lines.tobytes().translate(None, b"\0")
 
 
 def alignment_to_csv(alignment: AlignmentMatrix) -> str:
@@ -588,10 +591,11 @@ def alignment_to_csv(alignment: AlignmentMatrix) -> str:
     the same double; an exact ``+0.0`` is written as ``0.0`` (and
     ``-0.0`` as ``-0.0``).  The lines are built by array operations 128
     rows at a time, in fixed columns whose zero-byte padding is then
-    dropped; ``_shortest`` finds the digits of every cell but +0.0, so
-    the cost follows the size of the alignment, not its values.  The
-    CLI writes the blocks of ``_csv_chunks`` straight to disk, so what
-    it holds besides the alignment is one block."""
+    dropped by one ``bytes.translate`` per block; ``_shortest`` finds
+    the digits of every cell but +0.0, so the cost follows the size of
+    the alignment, not its values.  The CLI writes the blocks of
+    ``_csv_chunks`` straight to disk, so what it holds besides the
+    alignment is one block."""
     return b"".join(_csv_chunks(alignment)).decode("ascii")
 
 

@@ -27,7 +27,7 @@ from .attention import (
     normalize_energies,
 )
 from .score import PhonemeSequence
-from .tokens import TransitionTokens, _durations, _int_fields
+from .tokens import TransitionTokens, _durations, _is_a, _typed_fields
 
 __all__ = [
     "ENERGY_MODES",
@@ -44,6 +44,19 @@ __all__ = [
 ENERGY_MODES = ("oracle_diagonal", "noisy_diagonal", "adversarial_spike", "from_query_generator")
 
 
+def _spike_schedule(schedule) -> tuple[tuple[int, int], ...]:
+    """The (step, phoneme) pairs as ints, each checked to be two integers
+    (numpy's too, not bools) with step >= 0; the phoneme's range is
+    checked by ``_SynthRows``, which knows N."""
+    pairs = []
+    for pair in schedule:
+        step, phoneme = pair if len(pair) == 2 else (None, None)
+        if not (_is_a(step, int) and _is_a(phoneme, int)) or step < 0:
+            raise ValueError(f"spike_schedule entries must be integer (step >= 0, phoneme) pairs; got {pair}")
+        pairs.append((int(step), int(phoneme)))
+    return tuple(pairs)
+
+
 @dataclass(frozen=True)
 class SynthEnergySpec:
     mode: str = "oracle_diagonal"
@@ -55,6 +68,7 @@ class SynthEnergySpec:
     def __post_init__(self):
         if self.mode not in ENERGY_MODES:
             raise ValueError(f"unknown energy mode '{self.mode}'")
+        _typed_fields(self, float, "noise_sigma", "spike_magnitude", "sharpness")
         for name in ("noise_sigma", "spike_magnitude", "sharpness"):
             if not np.isfinite(getattr(self, name)):
                 raise ValueError(f"non-finite {name}")
@@ -62,9 +76,7 @@ class SynthEnergySpec:
             raise ValueError("negative noise sigma")
         if self.sharpness <= 0:
             raise ValueError("sharpness must be positive")
-        object.__setattr__(
-            self, "spike_schedule", tuple((int(s), int(n)) for s, n in self.spike_schedule)
-        )
+        object.__setattr__(self, "spike_schedule", _spike_schedule(self.spike_schedule))
 
 
 @dataclass(frozen=True)
@@ -77,7 +89,7 @@ class SimConfig:
     stop_patience: int = 3  # consecutive steps with argmax parked at the last phoneme
 
     def __post_init__(self):
-        _int_fields(self, "seed", "max_steps", "stop_patience")
+        _typed_fields(self, int, "seed", "max_steps", "stop_patience")
         if self.seed < 0:
             raise ValueError("seed must be >= 0")
         if self.max_steps < 1:
@@ -85,7 +97,7 @@ class SimConfig:
         if self.stop_patience < 1:
             raise ValueError("stop_patience must be >= 1")
         if self.fixed_steps is not None:
-            _int_fields(self, "fixed_steps")
+            _typed_fields(self, int, "fixed_steps")
             if self.fixed_steps < 1:
                 raise ValueError("fixed_steps must be >= 1")
 

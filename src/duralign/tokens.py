@@ -74,14 +74,27 @@ class DurationFeatures:
             raise ValueError("non-positive duration_s")
 
 
-def _int_fields(settings, *names: str):
-    """Check that each named field of a frozen settings dataclass holds an
-    integer (a numpy one too, but not a bool), and store it as an int."""
+# What a settings field of each type takes: numpy's scalars too, and a
+# bool only where a bool is asked for.
+_FIELD_TYPES = {
+    int: ("an integer", (int, np.integer)),
+    float: ("a real number", (int, float, np.integer, np.floating)),
+    bool: ("a bool", (bool, np.bool_)),
+}
+
+
+def _is_a(value, kind: type) -> bool:
+    return isinstance(value, _FIELD_TYPES[kind][1]) and (kind is bool or not isinstance(value, bool))
+
+
+def _typed_fields(settings, kind: type, *names: str):
+    """Check that each named field of a frozen settings dataclass holds a
+    value of ``kind`` by ``_FIELD_TYPES``, and store it as a ``kind``."""
     for name in names:
         value = getattr(settings, name)
-        if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
-            raise ValueError(f"{name} must be an integer; got {value}")
-        object.__setattr__(settings, name, int(value))
+        if not _is_a(value, kind):
+            raise ValueError(f"{name} must be {_FIELD_TYPES[kind][0]}; got {value}")
+        object.__setattr__(settings, name, kind(value))
 
 
 def _durations(seq: PhonemeSequence | np.ndarray) -> np.ndarray:
@@ -228,7 +241,8 @@ class TrainConfig:
     seed: int = 0
 
     def __post_init__(self):
-        _int_fields(self, "epochs", "batch_size", "seed")
+        _typed_fields(self, int, "epochs", "batch_size", "seed")
+        _typed_fields(self, float, "learning_rate")
         if not (math.isfinite(self.learning_rate) and self.learning_rate >= 0):
             raise ValueError(f"learning rate must be finite and >= 0; got {self.learning_rate}")
         if self.seed < 0:

@@ -531,6 +531,15 @@ class TestOccupancy:
         with pytest.raises(ValueError, match="negative horizon"):
             pure_lattice_occupancy(np.array([0.5, 0.5]), horizon=-1)
 
+    @pytest.mark.parametrize("horizon", [1.5, 2.0, True, np.float64(3.0), "3", None])
+    def test_rejects_a_non_integer_horizon_by_name(self, horizon):
+        with pytest.raises(ValueError, match=f"^horizon must be an integer; got {horizon}$"):
+            pure_lattice_occupancy(np.array([0.5, 0.5]), horizon=horizon)
+
+    def test_takes_a_numpy_integer_horizon(self):
+        q = np.array([0.5, 0.25])
+        assert np.array_equal(pure_lattice_occupancy(q, horizon=np.int32(7)), pure_lattice_occupancy(q, horizon=7))
+
 
 class TestLatticeBackward:
     @staticmethod
@@ -662,6 +671,18 @@ EDGE_CELLS = [
     -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1e-5, 1e-4, 9.999999999999999e-05,
     1e15, 1e16, 9999999999999998.0, 1.0, 2.0, -3.0, 1.0000000000000002, 0.1,
 ]
+# Negative 17-digit texts at every decimal point position repr writes
+# positionally, and in exponent form with exponents of one, two and three
+# digits, beside one-digit mantissas: the longest texts (up to 24 bytes).
+FULL_WIDTH_CELLS = [
+    -0.00024487578205219625, -0.0011376069093704047, -0.017536302521842892, -0.13309962190059238,
+    -6.4840612334059315, -24.842999217375613, -461.04944904994744, -2828.4540081564774,
+    -41393.399912463225, -209090.03034054954, -1154919.3434880143, -25422720.528436854,
+    -119850103.92520206, -3051810413.5176353, -32393781177.593864, -105929021966.64107,
+    -3638874635554.3584, -30765438354354.715, -279032547190762.22, -1070864604859920.6,
+    -3.1986002036147884e-05, -1e-05, -1.1000107421657726e-10, -1e-10, -4.2334146090032024e+16, -1e+16,
+    -1.0930633032521936e+100, -1e+100, -1.8053522863564794e-300, -1e-300,
+]
 # every finite value but +0.0: the cells whose digits the formatter finds
 written_cells = st.one_of(
     st.sampled_from(EDGE_CELLS), st.floats(allow_nan=False, allow_infinity=False)
@@ -745,6 +766,14 @@ class TestExports:
         probs[256] = probs[255]
         probs[127, 1] = probs[128, 1] = probs[40, 2] = probs[200, 0] = -0.0
         probs[255, 2] = probs[256, 2] = 0.0
+        assert alignment_to_csv(AlignmentMatrix(probs=probs)) == per_cell_csv(probs)
+
+    def test_csv_of_full_width_texts_beside_a_block_of_short_ones(self):
+        # rows 0-127 hold every full-width text between signed zeros; the
+        # second block, rows 128-129, only zeros and one short text
+        probs = np.zeros((130, 6))
+        probs[:128] = np.resize(FULL_WIDTH_CELLS + [0.0, -0.0], (128, 6))
+        probs[128] = [0.0, -0.0, 0.5, 0.0, 0.0, -0.0]
         assert alignment_to_csv(AlignmentMatrix(probs=probs)) == per_cell_csv(probs)
 
     def test_csv_of_random_doubles_across_blocks(self):

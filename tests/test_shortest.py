@@ -60,6 +60,36 @@ def test_matches_repr_on_boundary_families(family):
     assert texts(family) == reprs(family)
 
 
+def significant_digits(text):
+    return len(text.lstrip("-").split("e")[0].replace(".", "").strip("0"))
+
+
+def full_width_groups():
+    """Negative doubles with 17 significant digits at every decimal point
+    position repr writes positionally (0.000ddd to dddddddddddddddd.d), then
+    in exponent form with exponents of one, two and three digits, each
+    beside a one-digit mantissa there: the longest texts, which fill every
+    row of the layout.  One group per position and per form."""
+    rng = np.random.default_rng(29)
+    groups = []
+    for decpt in range(-3, 17):
+        top = 10**17 if decpt < 16 else 1125 * 10**13  # below 2**50, where a 17th digit can be needed
+        groups.append([-float(f"0.{m}e{decpt}") for m in rng.integers(10**16, top, 100)])
+    for exp in (-5, -9, -10, 16, 99, -99, 100, -300, 308, -308):
+        groups.append([-float(f"{m // 10**16}.{m % 10**16:016d}e{exp}") for m in rng.integers(10**16, 10**17, 100)])
+        groups.append([-float(f"1e{exp}")])
+    groups.append([-5e-324])
+    return [[v for v in group if significant_digits(repr(v)) in (1, 17)] for group in groups]
+
+
+def test_matches_repr_on_full_width_texts():
+    groups = full_width_groups()
+    assert all(groups)  # every position and form is there
+    family = [v for group in groups for v in group]
+    assert max(map(len, reprs(family))) == 24  # -d.dddddddddddddddde-XXX
+    assert texts(family) == reprs(family)
+
+
 def test_whole_numbers_with_digits_ending_in_five_round_to_even():
     # Doubles above 2**54 whose shortest digits are decided by a tie.
     values = np.ldexp(np.arange(2**52, 2**52 + 20_000, dtype=np.float64), np.arange(20_000) % 16 + 2)

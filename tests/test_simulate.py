@@ -81,6 +81,18 @@ class TestSynthEnergies:
         with pytest.raises(ValueError, match="out of range"):
             synth_energies(d, spec, seed=0, t=0)
 
+    @pytest.mark.parametrize(
+        "schedule", [((1.7, 2),), ((-3, 2),), ((2, 1.5),), ((True, 2),), ((2, np.False_),), ((2,),), ((1, 2, 3),)]
+    )
+    def test_spike_schedule_rejects_non_integer_pairs_and_negative_steps(self, schedule):
+        with pytest.raises(ValueError, match=r"^spike_schedule entries must be integer \(step >= 0, phoneme\) pairs"):
+            SynthEnergySpec(mode="adversarial_spike", spike_schedule=schedule)
+
+    def test_spike_schedule_takes_numpy_integers_as_ints(self):
+        spec = SynthEnergySpec(mode="adversarial_spike", spike_schedule=[(np.int64(2), np.uint8(1)), [0, 0]])
+        assert spec.spike_schedule == ((2, 1), (0, 0))
+        assert all(type(v) is int for pair in spec.spike_schedule for v in pair)
+
     def test_query_mode_needs_generator(self):
         with pytest.raises(ValueError):
             synth_energies(np.array([5.0]), SynthEnergySpec(mode="from_query_generator"), 0, 0)
@@ -267,6 +279,43 @@ class TestRealizedDurations:
 def test_settings_reject_non_integer_fields_by_name(settings, field, value):
     with pytest.raises(ValueError, match=f"^{field} must be an integer; got {value}$"):
         settings(**{field: value})
+
+
+@pytest.mark.parametrize(
+    "settings, field, value, kind",
+    [
+        (TrainConfig, "learning_rate", True, "a real number"),
+        (TrainConfig, "learning_rate", "2.0", "a real number"),
+        (SynthEnergySpec, "noise_sigma", True, "a real number"),
+        (SynthEnergySpec, "sharpness", True, "a real number"),
+        (SynthEnergySpec, "spike_magnitude", True, "a real number"),
+        (SynthEnergySpec, "spike_magnitude", np.True_, "a real number"),
+        (SynthEnergySpec, "spike_magnitude", None, "a real number"),
+        (StepOptions, "filter_enabled", "no", "a bool"),
+        (StepOptions, "filter_enabled", 1, "a bool"),
+        (StepOptions, "filter_enabled", None, "a bool"),
+        (SimConfig, "seed", np.True_, "an integer"),
+    ],
+)
+def test_settings_reject_wrongly_typed_fields_by_name(settings, field, value, kind):
+    with pytest.raises(ValueError, match=f"^{field} must be {kind}; got {value}$"):
+        settings(**{field: value})
+
+
+@pytest.mark.parametrize(
+    "settings, field, value, stored",
+    [
+        (TrainConfig, "learning_rate", np.float64(0.5), 0.5),
+        (TrainConfig, "learning_rate", 2, 2.0),
+        (SynthEnergySpec, "noise_sigma", np.float32(0.25), 0.25),
+        (SynthEnergySpec, "sharpness", np.int64(3), 3.0),
+        (StepOptions, "filter_enabled", np.True_, True),
+        (StepOptions, "filter_enabled", np.False_, False),
+    ],
+)
+def test_settings_store_numpy_and_integer_values_as_their_field_type(settings, field, value, stored):
+    made = getattr(settings(**{field: value}), field)
+    assert type(made) is type(stored) and made == stored
 
 
 @pytest.mark.parametrize(
