@@ -37,7 +37,7 @@ import numpy as np
 from numpy import add, divide, multiply, subtract
 
 from ._shortest import repr_columns
-from .tokens import TransitionTokens, _is_a, _typed_fields
+from .tokens import TransitionTokens, _checked, _finite, _typed_fields
 
 __all__ = [
     "EnergyParams",
@@ -86,9 +86,7 @@ class EnergyParams:
         a = self.v.size
         if self.W.shape[0] != a or self.V.shape[0] != a or self.b.shape != (a,):
             raise ValueError("inconsistent energy parameter shapes")
-        for arr in (self.W, self.V, self.v, self.b):
-            if not np.all(np.isfinite(arr)):
-                raise ValueError("non-finite energy parameter")
+        _finite("energy parameter", self.W, self.V, self.v, self.b)
 
     @classmethod
     def init(cls, seed: int, query_dim: int = 8, key_dim: int = 8, attn_dim: int = 8):
@@ -138,8 +136,7 @@ def content_energies_backward(
     de = np.asarray(upstream_grad, dtype=np.float64)
     if de.shape != (keys.shape[0],):
         raise ValueError("upstream gradient shape mismatch")
-    if not np.all(np.isfinite(de)):
-        raise ValueError("non-finite upstream gradient")
+    _finite("upstream gradient", de)
     a = np.tanh(params.W @ query + keys @ params.V.T + params.b)
     dv = a.T @ de
     dz = np.outer(de, params.v) * (1.0 - a * a)  # (N, attn_dim)
@@ -162,8 +159,7 @@ def _finite_energy(e: np.ndarray) -> np.ndarray:
     e = np.asarray(e, dtype=np.float64)
     if e.shape[-1:] == (0,):
         raise ValueError("empty energy vector: need at least one phoneme")
-    if not np.all(np.isfinite(e)):
-        raise ValueError("non-finite energy")
+    _finite("energy", e)
     return e
 
 
@@ -181,8 +177,7 @@ class AlignmentDistribution:
         object.__setattr__(self, "p", p)
         if p.ndim != 1 or p.size == 0:
             raise ValueError("alignment must be a non-empty vector")
-        if not np.all(np.isfinite(p)):
-            raise ValueError("alignment has non-finite entries")
+        _finite("alignment", p)
         if np.any(p < 0) or abs(p.sum() - 1.0) > 1e-9:
             raise ValueError("alignment is not a probability distribution")
 
@@ -198,6 +193,7 @@ class AlignmentMatrix:
         self.probs = np.asarray(self.probs, dtype=np.float64)
         if self.probs.ndim != 2:
             raise ValueError(f"alignment matrix must be one (T, N) array; got shape {self.probs.shape}")
+        _finite("alignment probability", self.probs)
 
     @property
     def n_steps(self) -> int:
@@ -355,13 +351,22 @@ def dynamic_filter(
     p = p_prev.p if isinstance(p_prev, AlignmentDistribution) else np.asarray(p_prev, dtype=np.float64)
     if p.size == 0:
         raise ValueError("empty alignment vector: nothing to filter")
+    _finite("alignment", p)
     return p * window_mask(p.size, int(np.argmax(p)), width, shape)
 
 
-def _public_step(mechanism: str, p: np.ndarray, q: np.ndarray | None, e: np.ndarray, opts: StepOptions):
+def _public_step(mechanism: str, p_prev: AlignmentDistribution | None, q: TransitionTokens | None, e_norm, opts: StepOptions):
+    """The one validated step behind ``gdca_step``, ``fa_step`` and
+    ``la_step``: finite energies, an alignment of their length (the
+    kernel checks the tokens), and a checked distribution out.  Without
+    ``p_prev`` (la's first step) the result is step 0."""
+    e = _finite_energy(e_norm)
+    p = e if p_prev is None else p_prev.p  # la without the filter never reads p
+    if p.size != e.size:
+        raise ValueError("length mismatch between alignment and energies")
     out = np.empty(e.size)
-    _Kernel(mechanism, q, opts, e.shape).step(p, e, out)
-    return out
+    _Kernel(mechanism, None if q is None else q.q, opts, e.shape).step(p, e, out)
+    return AlignmentDistribution(p=out, step=0 if p_prev is None else p_prev.step + 1)
 
 
 def gdca_step(
@@ -371,10 +376,7 @@ def gdca_step(
     opts: StepOptions = StepOptions(),
 ) -> AlignmentDistribution:
     """One duration-controlled step: filter, recursion, content, normalize."""
-    e = _finite_energy(e_norm)
-    if q.q.shape != (e.size,) or p_prev.p.size != e.size:
-        raise ValueError("length mismatch between alignment, tokens, and energies")
-    return AlignmentDistribution(p=_public_step("gdca", p_prev.p, q.q, e, opts), step=p_prev.step + 1)
+    return _public_step("gdca", p_prev, q, e_norm, opts)
 
 
 def fa_step(
@@ -383,10 +385,7 @@ def fa_step(
     opts: StepOptions = StepOptions(mechanism="fa"),
 ) -> AlignmentDistribution:
     """Token-free forward step: p(n-1) + p(n), content multiply, normalize."""
-    e = _finite_energy(e_norm)
-    if p_prev.p.size != e.size:
-        raise ValueError("length mismatch between alignment and energies")
-    return AlignmentDistribution(p=_public_step("fa", p_prev.p, None, e, opts), step=p_prev.step + 1)
+    return _public_step("fa", p_prev, None, e_norm, opts)
 
 
 def la_step(
@@ -396,12 +395,9 @@ def la_step(
 ) -> AlignmentDistribution:
     """Content-only step; with the filter enabled, a window centered at
     the previous argmax masks the energies before renormalizing."""
-    e = _finite_energy(e_norm)
     if p_prev is None:  # first step: no previous argmax to center a window on
-        return AlignmentDistribution(p=_public_step("la", e, None, e, StepOptions(mechanism="la")), step=0)
-    if p_prev.p.size != e.size:
-        raise ValueError("length mismatch between alignment and energies")
-    return AlignmentDistribution(p=_public_step("la", p_prev.p, None, e, opts), step=p_prev.step + 1)
+        opts = StepOptions(mechanism="la")
+    return _public_step("la", p_prev, None, e_norm, opts)
 
 
 def context_vector(p: AlignmentDistribution | np.ndarray, keys: np.ndarray) -> np.ndarray:
@@ -489,8 +485,7 @@ def lattice_backward(alignment: AlignmentMatrix, d_probs: np.ndarray) -> tuple[n
     d_probs = np.asarray(d_probs, dtype=np.float64)
     if d_probs.shape != alignment.probs.shape:
         raise ValueError("upstream gradient shape mismatch")
-    if not (np.isfinite(d_probs.min()) and np.isfinite(d_probs.max())):  # NaN reaches both; no (T+1, N) mask
-        raise ValueError("non-finite upstream gradient d_probs")
+    _finite("upstream gradient d_probs", d_probs)
     t_steps, n = cache.energies.shape
     move, stay = _shift_weights(cache.q, cache.convention)
     # prose: move[n] = q[n-1], stay[n] = 1 - q[n] (final stay fixed); eq3-literal negates both
@@ -521,10 +516,7 @@ def pure_lattice_occupancy(q: TransitionTokens | np.ndarray, horizon: int) -> np
     passes the point of numerical absorption.
     """
     qv = q.q if isinstance(q, TransitionTokens) else TransitionTokens(q=q).q
-    if not _is_a(horizon, int):
-        raise ValueError(f"horizon must be an integer; got {horizon}")
-    if horizon < 0:
-        raise ValueError("negative horizon")
+    horizon = _checked("horizon", horizon, int, least=0)
     p = init_alignment(qv.size).p
     occupancy = np.zeros(qv.size)
     for _ in range(horizon):
@@ -539,14 +531,6 @@ def pure_lattice_occupancy(q: TransitionTokens | np.ndarray, horizon: int) -> np
 # Exports
 
 
-def _finite_shape(alignment: AlignmentMatrix) -> tuple[int, int]:
-    probs = alignment.probs
-    # a NaN reaches both the min and the max, so no (T, N) mask is built
-    if probs.size and not (np.isfinite(probs.min()) and np.isfinite(probs.max())):
-        raise ValueError("non-finite alignment probability")
-    return probs.shape
-
-
 def _texts(texts: list[str]) -> np.ndarray:
     """(len(texts), width) uint8: the ASCII texts right-aligned in zero bytes."""
     width = max(map(len, texts))
@@ -557,7 +541,7 @@ def _texts(texts: list[str]) -> np.ndarray:
 def _csv_chunks(alignment: AlignmentMatrix) -> Iterator[bytes]:
     """The bytes of ``alignment_to_csv``: the header, then one chunk per
     128-row block, so a caller can write the CSV without holding it."""
-    _, n = _finite_shape(alignment)
+    n = alignment.n_phonemes
     yield b"t,n,p\n"
     if n == 0:
         return
@@ -602,7 +586,7 @@ def alignment_to_csv(alignment: AlignmentMatrix) -> str:
 def alignment_to_pgm(alignment: AlignmentMatrix) -> bytes:
     """Binary PGM (P5): one image row per decoder step, one column per
     phoneme, pixel value round(255 * p)."""
-    t, n = _finite_shape(alignment)
+    t, n = alignment.probs.shape
     pixels = np.clip(np.rint(alignment.probs * 255.0), 0, 255).astype(np.uint8)
     header = f"P5\n{n} {t}\n255\n".encode("ascii")
     return header + pixels.tobytes()

@@ -204,11 +204,10 @@ def cmd_gradcheck(args) -> int:
         "lattice": gradcheck.check_lattice_gradients,
     }
     targets = list(checks) if args.which == "all" else [args.which]
-    if args.seed < 0:
-        raise CliError("seed must be >= 0")
     ok = True
     for target in targets:
-        result = checks[target](args.seed, corrupt=args.corrupt)
+        with _usage_errors():
+            result = checks[target](args.seed, corrupt=args.corrupt)
         status = "pass" if result.passed else "FAIL"
         print(f"{target}: {status} max_rel_err={result.max_rel_err:.3e} step={result.step:g}")
         ok = ok and result.passed

@@ -17,7 +17,7 @@ import numpy as np
 from .attention import AlignmentMatrix
 from .score import PhonemeSequence, Score, expand_to_phonemes, with_uniform_tempo
 from .simulate import SimConfig, SimResult, SynthEnergySpec, phoneme_at_frame, run_simulation
-from .tokens import Q_MIN_DEFAULT, TransitionTokens, _durations, oracle_tokens
+from .tokens import Q_MIN_DEFAULT, TransitionTokens, _durations, _finite, oracle_tokens
 
 __all__ = [
     "MECHANISM_CONFIGS",
@@ -64,11 +64,16 @@ def sharpness_score(alignment: AlignmentMatrix) -> float:
 
 
 def duration_error(realized: np.ndarray, target: np.ndarray) -> tuple[float, float]:
-    """(mean absolute error in frames, mean relative error)."""
+    """(mean absolute error in frames, mean relative error) for finite
+    frame counts against positive targets."""
     realized = np.asarray(realized, dtype=np.float64)
     target = np.asarray(target, dtype=np.float64)
     if realized.shape != target.shape:
         raise ValueError("length mismatch")
+    _finite("realized", realized)
+    _finite("target", target)
+    if (target <= 0).any():
+        raise ValueError("non-positive target")
     abs_err = np.abs(realized - target)
     return float(np.mean(abs_err)), float(np.mean(abs_err / target))
 

@@ -95,6 +95,7 @@ def _check_parameters(target: str, params, grads, loss, step: float, corrupt: bo
 
 def check_energy_gradients(seed: int, step: float = FD_STEP, corrupt: bool = False) -> GradCheckResult:
     """Check content-energy parameter gradients against finite differences."""
+    seed = tokens._checked("seed", seed, int, least=0)
     rng = np.random.default_rng(seed)
     qd, kd, ad, n = 5, 4, 6, 7
     params = attention.EnergyParams.init(seed, query_dim=qd, key_dim=kd, attn_dim=ad)
@@ -111,6 +112,7 @@ def check_energy_gradients(seed: int, step: float = FD_STEP, corrupt: bool = Fal
 
 def check_encoder_gradients(seed: int, step: float = FD_STEP, corrupt: bool = False) -> GradCheckResult:
     """Check duration-encoder parameter gradients against finite differences."""
+    seed = tokens._checked("seed", seed, int, least=0)
     rng = np.random.default_rng(seed)
     n = 8
     params = tokens.DurationEncoderParams.init(seed, hidden=6)
@@ -130,6 +132,7 @@ def check_lattice_gradients(seed: int, step: float = FD_STEP, corrupt: bool = Fa
     duration-matching occupancy loss.  The finite differences run as two
     passes of the private batched forward, ``attention._batch_forward``:
     one over the perturbed tokens, one over the perturbed energies."""
+    seed = tokens._checked("seed", seed, int, least=0)
     rng = np.random.default_rng(seed)
     n, t_steps = 4, 12
     d = rng.integers(2, 6, n).astype(np.float64)

@@ -68,12 +68,8 @@ class SynthEnergySpec:
     def __post_init__(self):
         if self.mode not in ENERGY_MODES:
             raise ValueError(f"unknown energy mode '{self.mode}'")
-        _typed_fields(self, float, "noise_sigma", "spike_magnitude", "sharpness")
-        for name in ("noise_sigma", "spike_magnitude", "sharpness"):
-            if not np.isfinite(getattr(self, name)):
-                raise ValueError(f"non-finite {name}")
-        if self.noise_sigma < 0:
-            raise ValueError("negative noise sigma")
+        _typed_fields(self, float, "noise_sigma", least=0)
+        _typed_fields(self, float, "spike_magnitude", "sharpness")
         if self.sharpness <= 0:
             raise ValueError("sharpness must be positive")
         object.__setattr__(self, "spike_schedule", _spike_schedule(self.spike_schedule))
@@ -89,17 +85,10 @@ class SimConfig:
     stop_patience: int = 3  # consecutive steps with argmax parked at the last phoneme
 
     def __post_init__(self):
-        _typed_fields(self, int, "seed", "max_steps", "stop_patience")
-        if self.seed < 0:
-            raise ValueError("seed must be >= 0")
-        if self.max_steps < 1:
-            raise ValueError("max_steps must be >= 1")
-        if self.stop_patience < 1:
-            raise ValueError("stop_patience must be >= 1")
+        _typed_fields(self, int, "seed", least=0)
+        _typed_fields(self, int, "max_steps", "stop_patience", least=1)
         if self.fixed_steps is not None:
-            _typed_fields(self, int, "fixed_steps")
-            if self.fixed_steps < 1:
-                raise ValueError("fixed_steps must be >= 1")
+            _typed_fields(self, int, "fixed_steps", least=1)
 
 
 @dataclass

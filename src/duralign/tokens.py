@@ -4,6 +4,10 @@ The token q_n is the probability of advancing past phoneme n at each
 decoder step.  Two sources are provided: a closed-form oracle (geometric
 dwell, q = 1/d) and a small trainable encoder mapping duration features
 to (0, 1) with hand-rolled analytic gradients.
+
+The module also owns the package's two private input checks, so each
+rule is written once: ``_checked`` for settings fields and scalar
+arguments, ``_finite`` for arrays.
 """
 
 from __future__ import annotations
@@ -68,8 +72,7 @@ class DurationFeatures:
         object.__setattr__(self, "rows", rows)
         if rows.ndim != 2 or rows.shape[1] != 3:
             raise ValueError("features must be an (N, 3) array")
-        if not np.all(np.isfinite(rows)):
-            raise ValueError("non-finite feature value")
+        _finite("feature value", rows)
         if np.any(rows[:, 0] <= 0):
             raise ValueError("non-positive duration_s")
 
@@ -87,14 +90,36 @@ def _is_a(value, kind: type) -> bool:
     return isinstance(value, _FIELD_TYPES[kind][1]) and (kind is bool or not isinstance(value, bool))
 
 
-def _typed_fields(settings, kind: type, *names: str):
-    """Check that each named field of a frozen settings dataclass holds a
-    value of ``kind`` by ``_FIELD_TYPES``, and store it as a ``kind``."""
+def _checked(name: str, value, kind: type, least=None):
+    """The one checker of settings fields and scalar arguments: ``value``
+    as a ``kind``, or a ValueError naming ``name`` if it is not a ``kind``
+    by ``_FIELD_TYPES``, is a non-finite float or is below ``least``."""
+    if not _is_a(value, kind):
+        raise ValueError(f"{name} must be {_FIELD_TYPES[kind][0]}; got {value}")
+    try:
+        value = kind(value)
+    except OverflowError:  # float() of an int beyond the largest double
+        value = math.inf
+    if kind is float and not math.isfinite(value):
+        raise ValueError(f"non-finite {name}")
+    if least is not None and value < least:
+        raise ValueError(f"{name} must be >= {least}")
+    return value
+
+
+def _typed_fields(settings, kind: type, *names: str, least=None):
+    """Check each named field of a frozen settings dataclass with ``_checked`` and store what it returns."""
     for name in names:
-        value = getattr(settings, name)
-        if not _is_a(value, kind):
-            raise ValueError(f"{name} must be {_FIELD_TYPES[kind][0]}; got {value}")
-        object.__setattr__(settings, name, kind(value))
+        object.__setattr__(settings, name, _checked(name, getattr(settings, name), kind, least))
+
+
+def _finite(name: str, *arrays) -> None:
+    """Raise ``non-finite <name>`` if any array holds a NaN or an infinity,
+    by its min and max (a NaN reaches both), so that no mask is built."""
+    for a in arrays:
+        a = np.asarray(a)
+        if a.size and not (math.isfinite(a.min()) and math.isfinite(a.max())):
+            raise ValueError(f"non-finite {name}")
 
 
 def _durations(seq: PhonemeSequence | np.ndarray) -> np.ndarray:
@@ -158,11 +183,7 @@ class DurationEncoderParams:
         )
 
     def check_finite(self):
-        for arr in (self.w1, self.b1, self.w2):
-            if not np.all(np.isfinite(arr)):
-                raise ValueError("non-finite encoder parameter")
-        if not np.isfinite(self.b2):
-            raise ValueError("non-finite encoder parameter")
+        _finite("encoder parameter", self.w1, self.b1, self.w2, self.b2)
 
 
 @dataclass
@@ -214,8 +235,7 @@ def encoder_backward(
     upstream = np.asarray(upstream_grad, dtype=np.float64)
     if upstream.shape != (feats.rows.shape[0],):
         raise ValueError("upstream gradient shape mismatch")
-    if not np.all(np.isfinite(upstream)):
-        raise ValueError("non-finite upstream gradient")
+    _finite("upstream gradient", upstream)
     return _encoder_grads(params, *_forward_parts(params, feats.rows), upstream)
 
 
@@ -241,16 +261,9 @@ class TrainConfig:
     seed: int = 0
 
     def __post_init__(self):
-        _typed_fields(self, int, "epochs", "batch_size", "seed")
-        _typed_fields(self, float, "learning_rate")
-        if not (math.isfinite(self.learning_rate) and self.learning_rate >= 0):
-            raise ValueError(f"learning rate must be finite and >= 0; got {self.learning_rate}")
-        if self.seed < 0:
-            raise ValueError("seed must be >= 0")
-        if self.epochs < 1:
-            raise ValueError("epochs must be >= 1")
-        if self.batch_size < 1:
-            raise ValueError("batch size must be >= 1")
+        _typed_fields(self, int, "epochs", "batch_size", least=1)
+        _typed_fields(self, int, "seed", least=0)
+        _typed_fields(self, float, "learning_rate", least=0)
 
 
 class TrainingDiverged(RuntimeError):

@@ -249,6 +249,14 @@ class TestGdcaStep:
             gdca_step(init_alignment(3), TransitionTokens(q=np.full(2, 0.5)), uniform(3))
 
 
+def test_step_functions_reject_an_alignment_of_another_length():
+    p0 = init_alignment(4)
+    q = TransitionTokens(q=np.full(3, 0.5))
+    for step in (lambda: gdca_step(p0, q, uniform(3)), lambda: fa_step(p0, uniform(3)), lambda: la_step(uniform(3), p0)):
+        with pytest.raises(ValueError, match="^length mismatch between alignment and energies$"):
+            step()
+
+
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
 def test_step_functions_reject_nonfinite_energy(bad):
     p0 = init_alignment(3)
@@ -282,6 +290,13 @@ class TestLaStep:
         e = np.array([0.2, 0.5, 0.3])
         p = la_step(e)
         assert np.allclose(p.p, e, atol=1e-15)
+
+    def test_first_step_has_no_window(self):
+        # no previous argmax to center a window on, so the filter is off
+        e = np.array([0.1, 0.2, 0.3, 0.4])
+        p = la_step(e, opts=StepOptions(mechanism="la", filter_enabled=True, window_width=2))
+        assert p.step == 0
+        assert np.array_equal(p.p, la_step(e).p)
 
     def test_window_masks_energies(self):
         prev = AlignmentDistribution(p=np.array([0.0, 1.0, 0.0, 0.0, 0.0, 0.0]))
@@ -328,6 +343,11 @@ class TestDynamicFilter:
     def test_odd_width_rejected(self):
         with pytest.raises(ValueError):
             dynamic_filter(np.array([1.0]), width=3)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_rejects_a_nonfinite_alignment(self, bad):
+        with pytest.raises(ValueError, match="^non-finite alignment$"):
+            dynamic_filter(np.array([0.5, bad, 0.25]))
 
     def test_window_mask_clips_at_edges(self):
         m = window_mask(5, 0, 16)
@@ -510,6 +530,13 @@ class TestLatticeBatch:
         with pytest.raises(ValueError, match=r"one \(T, N\) array; got shape \(5, 10, 4\)"):
             AlignmentMatrix(probs=probs)
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_alignment_matrix_rejects_nonfinite_probabilities(self, bad):
+        probs = np.zeros((300, 7))
+        probs[123, 4] = bad
+        with pytest.raises(ValueError, match="^non-finite alignment probability$"):
+            AlignmentMatrix(probs=probs)
+
 
 class TestOccupancy:
     def test_matches_targets(self):
@@ -528,7 +555,7 @@ class TestOccupancy:
             pure_lattice_occupancy(np.array(q), horizon=5)
 
     def test_rejects_negative_horizon(self):
-        with pytest.raises(ValueError, match="negative horizon"):
+        with pytest.raises(ValueError, match="horizon must be >= 0"):
             pure_lattice_occupancy(np.array([0.5, 0.5]), horizon=-1)
 
     @pytest.mark.parametrize("horizon", [1.5, 2.0, True, np.float64(3.0), "3", None])

@@ -257,7 +257,7 @@ class TestSweep:
         (["sweep", TEN, "--tempos", "120", "--q-min", "inf"], "q_min must be finite and <= 1; got inf"),
         (["simulate", TEN, "--q-min", "1.5"], "q_min must be finite and <= 1; got 1.5"),
         (["train-encoder", "--epochs", "0"], "epochs must be >= 1"),
-        (["train-encoder", "--lr", "nan"], "learning rate must be finite and >= 0; got nan"),
+        (["train-encoder", "--lr", "nan"], "non-finite learning_rate"),
     ],
 )
 def test_out_of_range_flag_is_usage_error(capsys, tmp_path, argv, message):

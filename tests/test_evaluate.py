@@ -35,6 +35,13 @@ class TestMetrics:
         with pytest.raises(ValueError, match=r"one \(T, N\) array"):
             monotonicity_score(AlignmentMatrix(probs=probs))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("metric", [monotonicity_score, sharpness_score])
+    def test_metrics_reject_a_nonfinite_alignment(self, metric, bad):
+        # the alignment refuses it when built, so no metric sees the value
+        with pytest.raises(ValueError, match="^non-finite alignment probability$"):
+            metric(AlignmentMatrix(probs=np.array([[0.9, 0.1], [bad, 0.0], [0.0, 1.0]])))
+
     def test_monotonicity_needs_two_steps(self):
         with pytest.raises(ValueError):
             monotonicity_score(AlignmentMatrix(probs=np.array([[1.0, 0.0]])))
@@ -56,6 +63,19 @@ class TestMetrics:
     def test_duration_error_zero_on_match(self):
         d = np.array([3.0, 7.0, 11.0])
         assert duration_error(d, d) == (0.0, 0.0)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("name", ["realized", "target"])
+    def test_duration_error_rejects_nonfinite_input_by_name(self, name, bad):
+        args = {"realized": np.array([9.0, 12.0]), "target": np.array([10.0, 10.0])}
+        args[name][1] = bad
+        with pytest.raises(ValueError, match=f"^non-finite {name}$"):
+            duration_error(**args)
+
+    @pytest.mark.parametrize("target", [[10.0, 0.0], [-1.0, 10.0]])
+    def test_duration_error_rejects_a_non_positive_target(self, target):
+        with pytest.raises(ValueError, match="^non-positive target$"):
+            duration_error(np.array([9.0, 12.0]), np.array(target))
 
 
 class TestCompareMechanisms:

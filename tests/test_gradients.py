@@ -99,6 +99,15 @@ def test_analytic_matches_numeric(check, seed):
 
 
 @pytest.mark.parametrize("check", CHECKS)
+@pytest.mark.parametrize(
+    "seed, message", [(-1, "seed must be >= 0"), (1.5, "seed must be an integer; got 1.5"), (True, "seed must be an integer; got True")]
+)
+def test_checks_reject_a_bad_seed_by_name(check, seed, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        check(seed)
+
+
+@pytest.mark.parametrize("check", CHECKS)
 def test_corrupt_hook_is_detected(check):
     # negative control: a deliberately wrong gradient must fail the check
     result = check(0, corrupt=True)

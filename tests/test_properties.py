@@ -15,6 +15,7 @@ from duralign.attention import (
 )
 from duralign.tokens import DurationEncoderParams, DurationFeatures, encoder_forward, oracle_tokens
 from duralign.score import NoteEvent, Score, expand_to_phonemes, frames_for
+from duralign.simulate import SimConfig, SynthEnergySpec, run_simulation
 from duralign.tokens import TransitionTokens
 
 finite = st.floats(min_value=-50.0, max_value=50.0, allow_nan=False)
@@ -160,3 +161,32 @@ def test_slow_floor_bound_under_uniform_content(n, t_steps):
     for t in range(1, t_steps + 1):
         p = gdca_step(p, q, e)
         assert p.p[0] >= 1.0 - t * q_min - 1e-12
+
+
+@st.composite
+def lengthened_scores(draw):
+    """Frame targets, a phoneme index and the targets with that phoneme
+    lengthened by 1 to 9 frames."""
+    d = np.array(draw(st.lists(st.integers(1, 29), min_size=2, max_size=11)), dtype=np.float64)
+    k = draw(st.integers(0, d.size - 1))
+    longer = d.copy()
+    longer[k] += draw(st.integers(1, 9))
+    return d, k, longer
+
+
+@settings(max_examples=25, deadline=None)
+@given(lengthened_scores(), st.integers(0, 2**16), st.sampled_from([2.0, 0.2]))
+def test_lengthening_a_phoneme_never_shortens_its_dwell(instance, seed, sharpness):
+    # at sharpness 0.2 the content term is weak enough that gdca's dwell
+    # follows its tokens, so the check covers the duration control too
+    d, k, longer = instance
+    for mechanism in ("gdca", "fa", "la"):
+        for filter_enabled in (False, True):
+            for energy in (
+                SynthEnergySpec(sharpness=sharpness),
+                SynthEnergySpec(mode="noisy_diagonal", noise_sigma=0.5, sharpness=sharpness),
+            ):
+                cfg = SimConfig(StepOptions(mechanism, filter_enabled), energy, seed=seed, max_steps=2000)
+                before = run_simulation(d, oracle_tokens(d), cfg).realized_frames[k]
+                after = run_simulation(longer, oracle_tokens(longer), cfg).realized_frames[k]
+                assert after >= before, (mechanism, filter_enabled, energy.mode)

@@ -257,6 +257,13 @@ class TestRealizedDurations:
         with pytest.raises(ValueError, match=r"one \(T, N\) array"):
             realized_durations(AlignmentMatrix(probs=probs))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_rejects_a_nonfinite_alignment(self, bad):
+        # a NaN row would otherwise count toward phoneme 0
+        probs = np.array([[0.9, 0.1], [bad, 0.0], [0.0, 1.0]])
+        with pytest.raises(ValueError, match="^non-finite alignment probability$"):
+            realized_durations(AlignmentMatrix(probs=probs))
+
 
 @pytest.mark.parametrize(
     "settings, field, value",
@@ -295,10 +302,14 @@ def test_settings_reject_non_integer_fields_by_name(settings, field, value):
         (StepOptions, "filter_enabled", 1, "a bool"),
         (StepOptions, "filter_enabled", None, "a bool"),
         (SimConfig, "seed", np.True_, "an integer"),
+        # an int too large for a double is a real number, but not a finite one
+        pytest.param(TrainConfig, "learning_rate", 10**400, None, id="TrainConfig-learning_rate-10**400"),
+        pytest.param(SynthEnergySpec, "noise_sigma", 10**400, None, id="SynthEnergySpec-noise_sigma-10**400"),
     ],
 )
 def test_settings_reject_wrongly_typed_fields_by_name(settings, field, value, kind):
-    with pytest.raises(ValueError, match=f"^{field} must be {kind}; got {value}$"):
+    message = f"non-finite {field}" if kind is None else f"{field} must be {kind}; got {value}"
+    with pytest.raises(ValueError, match=f"^{message}$"):
         settings(**{field: value})
 
 
