@@ -401,9 +401,11 @@ def la_step(
 
 
 def context_vector(p: AlignmentDistribution | np.ndarray, keys: np.ndarray) -> np.ndarray:
-    """Alignment-weighted sum of key rows."""
+    """Alignment-weighted sum of key rows, for a finite alignment and finite keys."""
     pv = p.p if isinstance(p, AlignmentDistribution) else np.asarray(p, dtype=np.float64)
     keys = np.asarray(keys, dtype=np.float64)
+    _finite("alignment", pv)
+    _finite("keys", keys)
     if keys.shape[0] != pv.size:
         raise ValueError("alignment/key length mismatch")
     return pv @ keys

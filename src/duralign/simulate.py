@@ -5,6 +5,11 @@ so alignment behavior can be studied in isolation: a duration-aligned
 diagonal, a noisy diagonal, an adversarial variant with off-diagonal
 spikes, and a seeded query-feedback generator that exercises the
 additive scoring path end to end.
+
+The noise of step t is ``np.random.default_rng([seed, t]).normal(0,
+noise_sigma, N)``, bit for bit.  The generators of a block of steps are
+seeded by one array hash of the block's (seed, t) pairs (``_seeds``)
+rather than by one ``SeedSequence`` per step.
 """
 
 from __future__ import annotations
@@ -22,12 +27,12 @@ from .attention import (
     _content,
     _Kernel,
     _softmax,
-    context_vector,
     init_alignment,
     normalize_energies,
 )
+from ._seeds import step_generators
 from .score import PhonemeSequence
-from .tokens import TransitionTokens, _durations, _is_a, _typed_fields
+from .tokens import TransitionTokens, _checked, _durations, _finite, _is_a, _typed_fields
 
 __all__ = [
     "ENERGY_MODES",
@@ -128,15 +133,24 @@ class SimResult:
 
 
 def phoneme_at_frame(d: np.ndarray, t: int) -> int:
-    """Index of the phoneme whose cumulative frame interval contains t;
-    frames past the end belong to the last phoneme."""
+    """Index of the phoneme whose cumulative frame interval contains
+    frame t >= 0; frames past the end belong to the last phoneme."""
+    t = _checked("t", t, int, least=0)
+    d = np.asarray(d, dtype=np.float64)
+    if d.size == 0:
+        raise ValueError("empty durations: need at least one phoneme")
+    _finite("durations", d)
     bounds = np.cumsum(d)
     idx = int(np.searchsorted(bounds, t, side="right"))
     return min(idx, d.size - 1)
 
 
-def _step_rng(seed: int, t: int) -> np.random.Generator:
-    return np.random.default_rng([seed, t])
+def _positive_durations(seq: PhonemeSequence | np.ndarray) -> np.ndarray:
+    """The frame targets as float64, each checked to be finite and positive."""
+    d = _durations(seq)
+    if not np.all(np.isfinite(d) & (d > 0)):
+        raise ValueError("durations must be finite and positive")
+    return d
 
 
 _ENERGY_BLOCK = 128  # synthetic energy rows built at a time
@@ -167,8 +181,8 @@ class _SynthRows:
         target = np.minimum(np.searchsorted(self.bounds, np.arange(t0, t1), side="right"), n - 1)
         raw = -self.spec.sharpness * np.abs(np.arange(n) - target[:, None]).astype(np.float64)
         if self.noisy:
-            for i, t in enumerate(range(t0, t1)):
-                raw[i] += _step_rng(self.seed, t).normal(0.0, self.spec.noise_sigma, n)
+            for i, rng in enumerate(step_generators(self.seed, t0, t1)):
+                raw[i] += rng.normal(0.0, self.spec.noise_sigma, n)
         lo, hi = np.searchsorted(self.spike_steps, [t0, t1])
         np.add.at(raw, (self.spike_steps[lo:hi] - t0, self.spike_phonemes[lo:hi]), self.spec.spike_magnitude)
         return normalize_energies(raw)
@@ -183,7 +197,8 @@ def synth_energies(
     handled here; the query-feedback mode lives in QueryGenerator
     because it carries state.
     """
-    return _SynthRows(d, spec, seed).rows(t, t + 1)[0]
+    seed, t = _checked("seed", seed, int, least=0), _checked("t", t, int, least=0)
+    return _SynthRows(_positive_durations(d), spec, seed).rows(t, t + 1)[0]
 
 
 class QueryGenerator:
@@ -194,6 +209,8 @@ class QueryGenerator:
     """
 
     def __init__(self, n_phonemes: int, seed: int):
+        n_phonemes = _checked("n_phonemes", n_phonemes, int, least=1)
+        seed = _checked("seed", seed, int, least=0)
         self.params = EnergyParams.init(seed)  # 8-dimensional queries, keys and scores
         dim = self.params.W.shape[1]
         rng = np.random.default_rng([seed, 0xC0FFEE])
@@ -204,7 +221,8 @@ class QueryGenerator:
         self._projected_keys = self.keys @ self.params.V.T
 
     def energies(self, p_prev: AlignmentDistribution | np.ndarray) -> np.ndarray:
-        c = context_vector(p_prev, self.keys)
+        p = p_prev.p if isinstance(p_prev, AlignmentDistribution) else p_prev
+        c = p @ self.keys  # context_vector's product, without its checks in the step loop
         self.m = np.tanh(self.A @ self.m + self.B @ c)
         return _softmax(_content(self.params, self.m, self._projected_keys))
 
@@ -220,9 +238,7 @@ def run_simulation(
     ``stop_patience`` consecutive steps (or after ``fixed_steps``).
     Hitting ``max_steps`` first flags the result instead of raising.
     """
-    d = _durations(seq)
-    if not np.all(np.isfinite(d) & (d > 0)):
-        raise ValueError("durations must be finite and positive")
+    d = _positive_durations(seq)
     n = d.size
     kernel = _Kernel(cfg.opts.mechanism, None if tokens is None else tokens.q, cfg.opts, (n,))
     stop_rule = cfg.fixed_steps is None

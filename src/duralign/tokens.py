@@ -136,9 +136,10 @@ def oracle_tokens(seq: PhonemeSequence | np.ndarray, q_min: float = Q_MIN_DEFAUL
     mean 1/q, so this matches the frame target d_n exactly; larger
     durations give smaller tokens.
     """
-    if not (math.isfinite(q_min) and q_min <= 1.0):
+    if not (_is_a(q_min, float) and math.isfinite(q_min) and q_min <= 1.0):
         raise ValueError(f"q_min must be finite and <= 1; got {q_min}")
     d = _durations(seq)
+    _finite("frame target", d)
     if np.any(d < 1):
         raise ValueError("frame targets must be >= 1")
     return TransitionTokens(q=np.clip(1.0 / d, q_min, 1.0))

@@ -367,6 +367,18 @@ class TestContextVector:
         c = context_vector(uniform(4), keys)
         assert np.allclose(c, keys.mean(axis=0), atol=1e-15)
 
+    @pytest.mark.parametrize(
+        "p, keys, message",
+        [
+            ([np.nan, 1.0], np.ones((2, 3)), "^non-finite alignment$"),
+            ([0.5, 0.5], np.array([[1.0, np.inf, 0.0], [0.0, 0.0, 0.0]]), "^non-finite keys$"),
+            ([0.5, 0.5], np.full((2, 3), np.nan), "^non-finite keys$"),
+        ],
+    )
+    def test_rejects_non_finite_input_by_name(self, p, keys, message):
+        with pytest.raises(ValueError, match=message):
+            context_vector(np.array(p), keys)
+
 
 class TestLatticeForward:
     def test_shape_and_init_row(self):

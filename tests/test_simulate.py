@@ -31,6 +31,22 @@ class TestPhonemeAtFrame:
     def test_past_end_clamps(self):
         assert phoneme_at_frame(np.array([3.0, 2.0]), 99) == 1
 
+    @pytest.mark.parametrize(
+        "d, message",
+        [([], "^empty durations"), ([3.0, np.nan], "^non-finite durations$"), ([np.inf, 2.0], "^non-finite durations$")],
+    )
+    def test_rejects_empty_or_non_finite_durations(self, d, message):
+        with pytest.raises(ValueError, match=message):
+            phoneme_at_frame(np.array(d), 0)
+
+    @pytest.mark.parametrize(
+        "t, message",
+        [(-5, "^t must be >= 0$"), (np.nan, "^t must be an integer"), (1.5, "^t must be an integer"), (True, "^t must be an integer")],
+    )
+    def test_rejects_negative_or_non_integer_frame(self, t, message):
+        with pytest.raises(ValueError, match=message):
+            phoneme_at_frame(np.array([3.0, 2.0]), t)
+
 
 class TestSynthEnergies:
     def test_oracle_diagonal_peaks_on_schedule(self):
@@ -93,6 +109,31 @@ class TestSynthEnergies:
         assert spec.spike_schedule == ((2, 1), (0, 0))
         assert all(type(v) is int for pair in spec.spike_schedule for v in pair)
 
+    @pytest.mark.parametrize("mode", ["oracle_diagonal", "noisy_diagonal"])
+    @pytest.mark.parametrize(
+        "seed, t, message",
+        [
+            (-1, 0, "^seed must be >= 0$"),
+            (0, -1, "^t must be >= 0$"),
+            (0, 1.5, "^t must be an integer"),
+            (2.0, 0, "^seed must be an integer"),
+            (True, 0, "^seed must be an integer"),
+        ],
+    )
+    def test_rejects_bad_seed_or_step_by_name(self, mode, seed, t, message):
+        spec = SynthEnergySpec(mode=mode, noise_sigma=1.0)
+        with pytest.raises(ValueError, match=message):
+            synth_energies(np.array([5.0, 5.0]), spec, seed=seed, t=t)
+
+    def test_takes_numpy_integers(self):
+        d, spec = np.array([5.0, 5.0]), SynthEnergySpec(mode="noisy_diagonal", noise_sigma=1.0)
+        assert np.array_equal(synth_energies(d, spec, np.uint64(3), np.int32(4)), synth_energies(d, spec, 3, 4))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, 0.0, -3.0])
+    def test_rejects_bad_durations(self, bad):
+        with pytest.raises(ValueError, match="^durations must be finite and positive$"):
+            synth_energies(np.array([5.0, bad]), SynthEnergySpec(), seed=0, t=0)
+
     def test_query_mode_needs_generator(self):
         with pytest.raises(ValueError):
             synth_energies(np.array([5.0]), SynthEnergySpec(mode="from_query_generator"), 0, 0)
@@ -113,6 +154,19 @@ class TestSynthEnergies:
 
 
 class TestQueryGenerator:
+    @pytest.mark.parametrize(
+        "n, seed, message",
+        [
+            (0, 0, "^n_phonemes must be >= 1$"),
+            (2.0, 0, "^n_phonemes must be an integer"),
+            (3, -1, "^seed must be >= 0$"),
+            (3, 0.5, "^seed must be an integer"),
+        ],
+    )
+    def test_rejects_bad_size_or_seed_by_name(self, n, seed, message):
+        with pytest.raises(ValueError, match=message):
+            QueryGenerator(n, seed)
+
     def test_deterministic(self):
         p = init_alignment(5)
         e1 = QueryGenerator(5, seed=7).energies(p)

@@ -39,6 +39,16 @@ class TestOracle:
         with pytest.raises(ValueError):
             oracle_tokens(np.array([0.5]))
 
+    @pytest.mark.parametrize("bad", [np.inf, np.nan])
+    def test_rejects_non_finite_frame_targets(self, bad):
+        with pytest.raises(ValueError, match="^non-finite frame target$"):
+            oracle_tokens(np.array([5.0, bad]))
+
+    @pytest.mark.parametrize("q_min", [True, np.True_, "0.1", np.nan, 1.5])
+    def test_rejects_bad_floor(self, q_min):
+        with pytest.raises(ValueError, match=r"^q_min must be finite and <= 1; got "):
+            oracle_tokens(np.array([5.0, 3.0]), q_min=q_min)
+
     def test_antitone(self):
         d = np.arange(1.0, 300.0)
         q = oracle_tokens(d).q
