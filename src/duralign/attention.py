@@ -34,7 +34,7 @@ from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
-from numpy import add, divide, multiply, subtract
+from numpy import add, divide, multiply, negative, subtract
 
 from ._shortest import repr_columns
 from .tokens import TransitionTokens, _checked, _finite, _typed_fields
@@ -66,7 +66,7 @@ __all__ = [
 MECHANISMS = ("la", "fa", "gdca")
 CONVENTIONS = ("prose", "eq3-literal")
 WINDOW_SHAPES = ("rectangular", "triangular")
-_CSV_BLOCK = 128  # _csv_chunks formats this many rows at a time
+_BLOCK = 128  # rows that _csv_chunks formats, and lattice_backward finishes, at a time
 
 
 # ---------------------------------------------------------------------------
@@ -285,16 +285,17 @@ class _Kernel:
         if self.stay is not None:
             self.move1 = move[1:]
             self.a = np.empty(shape)
+            self.a1 = self.a[1:]
             self.head = np.empty((n - 1,) + shape[1:])
         self.table = _window_table(n, opts) if opts.filter_enabled else None
         self.lo, self.hi = n - 1, 2 * n - 1  # center c's mask is table[lo - c : hi - c]
         self.whole = self.stay is None and self.table is None  # la without the filter: no recursion
 
-    def step(self, p: np.ndarray, e: np.ndarray, out: np.ndarray, a: np.ndarray | None = None):
+    def step(self, p: np.ndarray, e: np.ndarray, out: np.ndarray):
         """One step from ``p`` with energies ``e`` into ``out`` (not ``p``;
         also the scratch row), by the plain expressions' ufuncs in their
-        order.  The pre-content vector goes to ``a`` (default a buffer);
-        returns the normalizer, one per column."""
+        order.  The pre-content vector goes to the kernel's scratch row
+        ``a``; returns the normalizer, one per column."""
         if self.table is not None:  # never batched
             c = p.argmax()
             mask = self.table[self.lo - c : self.hi - c]
@@ -303,11 +304,9 @@ class _Kernel:
         else:
             if self.table is not None:
                 p = multiply(p, mask, out)
-            a = self.a if a is None else a
-            a1 = a[1:]
-            multiply(self.stay, p, a)
-            add(a1, multiply(self.move1, p[:-1], self.head), a1)
-            b = multiply(a, e, out)
+            multiply(self.stay, p, self.a)
+            add(self.a1, multiply(self.move1, p[:-1], self.head), self.a1)
+            b = multiply(self.a, e, out)
         s = add.reduce(b, axis=0)
         low = s < 1e-300
         if low.any() if low.ndim else low:  # a scalar's .any() costs a microsecond
@@ -417,12 +416,11 @@ def context_vector(p: AlignmentDistribution | np.ndarray, keys: np.ndarray) -> n
 
 @dataclass
 class LatticeCache:
-    """Intermediates from a gdca forward pass, for reverse mode."""
+    """Intermediates from a gdca forward pass, for reverse mode; the energies are a copy."""
 
     q: np.ndarray
     energies: np.ndarray  # (T, N), normalized
     p_rows: np.ndarray  # (T+1, N)
-    a_rows: np.ndarray  # (T, N) pre-content vectors
     sums: np.ndarray  # (T,) normalizers
     convention: str
 
@@ -438,7 +436,8 @@ def lattice_forward(
 
     Row 0 of the result is the initial delta distribution; rows 1..T are
     the stepped alignments.  A cache for the backward pass is recorded
-    only for the unfiltered gdca mechanism.
+    only for the unfiltered gdca mechanism; it shares the result's rows
+    and adds a copy of the energies: about 2 (T+1) N doubles in all.
     """
     energies = _finite_energy(energies)
     if energies.ndim != 2:
@@ -449,9 +448,8 @@ def lattice_forward(
     rows = np.empty((t_steps + 1, n))
     rows[0] = init_alignment(n).p
     kernel = _Kernel(opts.mechanism, None if q is None else q.q, opts, (n,))
-    a_rows = np.empty((t_steps, n)) if keep_cache else None
-    sums = [kernel.step(rows[t], energies[t], rows[t + 1], a_rows[t] if keep_cache else None) for t in range(t_steps)]
-    cache = LatticeCache(q.q.copy(), energies.copy(), rows, a_rows, np.array(sums), opts.convention) if keep_cache else None
+    sums = [kernel.step(p, e, out) for p, e, out in zip(rows, energies, rows[1:])]
+    cache = LatticeCache(q.q.copy(), energies.copy(), rows, np.array(sums), opts.convention) if keep_cache else None
     return AlignmentMatrix(probs=rows, cache=cache)
 
 
@@ -477,9 +475,10 @@ def lattice_backward(alignment: AlignmentMatrix, d_probs: np.ndarray) -> tuple[n
 
     ``d_probs`` holds a finite dLoss/dp for every row of the alignment
     matrix (row 0's entry is ignored: the initial distribution is
-    constant).  A reverse step writes into buffers built once per call
-    (row t of dE holds db until a last multiply by a), with the plain
-    expressions' ufuncs in order: bit for bit an allocating loop's result.
+    constant).  Reverse steps keep only the recurrence, in buffers built
+    once per call.  Per block of 128, ufuncs rebuild the pre-content rows
+    a from ``p_rows``, make dE's rows (db until then) db * a and add the
+    dq terms in step order by one ``add.reduce``: bit for bit a plain loop.
     """
     cache = alignment.cache
     if cache is None:
@@ -490,22 +489,32 @@ def lattice_backward(alignment: AlignmentMatrix, d_probs: np.ndarray) -> tuple[n
     _finite("upstream gradient d_probs", d_probs)
     t_steps, n = cache.energies.shape
     move, stay = _shift_weights(cache.q, cache.convention)
-    # prose: move[n] = q[n-1], stay[n] = 1 - q[n] (final stay fixed); eq3-literal negates both
-    up, down = (add, subtract) if cache.convention == "prose" else (subtract, add)
-    dq, d_energies = np.zeros(n), np.empty((t_steps, n))
-    g, da, carry, head = np.empty(n), np.empty(n), np.zeros(n), np.empty(n - 1)
-    dq0, da1, da0, carry0, move1 = dq[:-1], da[1:], da[:-1], carry[:-1], move[1:]
-    for t in range(t_steps - 1, -1, -1):
-        add(carry, d_probs[t + 1], g)
-        db = d_energies[t]
-        divide(subtract(g, np.dot(g, cache.p_rows[t + 1]), db), cache.sums[t], db)
-        multiply(db, cache.energies[t], da)
-        p_prev = cache.p_rows[t, :-1]  # a[n] = stay[n] * p_prev[n] + move[n] * p_prev[n-1]
-        up(dq0, multiply(da1, p_prev, head), dq0)  # the move[n+1] terms
-        down(dq0, multiply(da0, p_prev, head), dq0)  # the stay[n] terms
-        multiply(da, stay, carry)
-        add(carry0, multiply(da1, move1, head), carry0)
-    multiply(d_energies, cache.a_rows, d_energies)
+    # prose: dq[n] gains da[n+1] * p_prev[n] (move) and loses da[n] * p_prev[n] (stay); eq3-literal negates both
+    minus = slice(2, None, 2) if cache.convention == "prose" else slice(1, None, 2)  # the terms rows to negate
+    dq, d_energies, g, carry, head = np.zeros(n), np.empty((t_steps, n)), np.empty(n), np.zeros(n), np.empty(n - 1)
+    carry0, move1, blk = carry[:-1], move[1:], min(_BLOCK, t_steps)
+    da_rows, a_rows, heads = np.empty((blk, n)), np.empty((blk, n)), np.empty((blk, n - 1))
+    # dq, then each step's move and stay terms, last first; a zero last column stops numpy summing one column pairwise
+    terms = np.zeros((2 * blk + 1, n))
+    for hi in range(t_steps, 0, -_BLOCK):
+        lo, k = max(hi - _BLOCK, 0), min(hi, _BLOCK)
+        for t in range(hi - 1, lo - 1, -1):
+            add(carry, d_probs[t + 1], g)
+            db = d_energies[t]
+            divide(subtract(g, np.dot(g, cache.p_rows[t + 1]), db), cache.sums[t], db)
+            da = multiply(db, cache.energies[t], da_rows[t - lo])
+            multiply(da, stay, carry)
+            add(carry0, multiply(da[1:], move1, head), carry0)
+        p, a, rows = cache.p_rows[lo:hi], a_rows[:k], terms[: 2 * k + 1]
+        multiply(stay, p, a)  # the forward kernel's pre-content rows
+        add(a[:, 1:], multiply(move1, p[:, :-1], heads[:k]), a[:, 1:])
+        multiply(d_energies[lo:hi], a, d_energies[lo:hi])
+        p_prev, da = p[::-1, :-1], da_rows[k - 1 :: -1]  # last step first
+        rows[0] = dq
+        multiply(da[:, 1:], p_prev, rows[1::2, :-1])
+        multiply(da[:, :-1], p_prev, rows[2::2, :-1])
+        negative(rows[minus, :-1], rows[minus, :-1])
+        add.reduce(rows, axis=0, out=dq)
     return dq, d_energies
 
 
@@ -549,8 +558,8 @@ def _csv_chunks(alignment: AlignmentMatrix) -> Iterator[bytes]:
         return
     cols = _texts([f"{j}," for j in range(n)])
     zero = repr_columns(np.zeros(1))
-    for t0 in range(0, alignment.n_steps, _CSV_BLOCK):
-        yield _csv_block(alignment.probs[t0 : t0 + _CSV_BLOCK], t0, cols, zero)
+    for t0 in range(0, alignment.n_steps, _BLOCK):
+        yield _csv_block(alignment.probs[t0 : t0 + _BLOCK], t0, cols, zero)
 
 
 def _csv_block(block: np.ndarray, t0: int, cols: np.ndarray, zero: np.ndarray) -> bytes:

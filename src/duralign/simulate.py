@@ -222,7 +222,10 @@ class QueryGenerator:
 
     def energies(self, p_prev: AlignmentDistribution | np.ndarray) -> np.ndarray:
         p = p_prev.p if isinstance(p_prev, AlignmentDistribution) else p_prev
-        c = p @ self.keys  # context_vector's product, without its checks in the step loop
+        try:
+            c = p @ self.keys  # context_vector's product, without its checks in the step loop
+        except ValueError as err:  # matmul's core-dimension mismatch: no length check on every step
+            raise ValueError("alignment/key length mismatch") from err
         self.m = np.tanh(self.A @ self.m + self.B @ c)
         return _softmax(_content(self.params, self.m, self._projected_keys))
 

@@ -114,11 +114,13 @@ def _typed_fields(settings, kind: type, *names: str, least=None):
 
 
 def _finite(name: str, *arrays) -> None:
-    """Raise ``non-finite <name>`` if any array holds a NaN or an infinity,
-    by its min and max (a NaN reaches both), so that no mask is built."""
+    """Raise ``non-finite <name>`` if any array holds a NaN or an infinity.
+    The check builds a transient bool mask of the array's shape (faster
+    than its min and max); the entry points check their input on entry,
+    so ``lattice_backward``'s mask over ``d_probs`` is freed before its
+    gradient arrays exist and does not add to its peak."""
     for a in arrays:
-        a = np.asarray(a)
-        if a.size and not (math.isfinite(a.min()) and math.isfinite(a.max())):
+        if not np.isfinite(a).all():
             raise ValueError(f"non-finite {name}")
 
 
@@ -136,7 +138,11 @@ def oracle_tokens(seq: PhonemeSequence | np.ndarray, q_min: float = Q_MIN_DEFAUL
     mean 1/q, so this matches the frame target d_n exactly; larger
     durations give smaller tokens.
     """
-    if not (_is_a(q_min, float) and math.isfinite(q_min) and q_min <= 1.0):
+    try:
+        ok = _checked("q_min", q_min, float) <= 1.0
+    except ValueError:  # not a real number, or not finite
+        ok = False
+    if not ok:
         raise ValueError(f"q_min must be finite and <= 1; got {q_min}")
     d = _durations(seq)
     _finite("frame target", d)

@@ -1,5 +1,6 @@
 import hashlib
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -418,6 +419,23 @@ class TestLatticeForward:
         with pytest.raises(ValueError):
             lattice_forward(None, np.full((3, 4), 0.25))
 
+    def test_cache_holds_two_arrays_of_the_rows_size(self):
+        # the rows and a copy of the energies, and no (T, N) pre-content
+        # rows; the rest is the normalizers and, while AlignmentMatrix
+        # checks the rows, their bool finiteness mask (an eighth of them)
+        rng = np.random.default_rng(7)
+        t_steps, n = 848, 64
+        q = TransitionTokens(q=rng.uniform(0.05, 0.95, n))
+        E = normalize_energies(rng.normal(0.0, 1.0, (t_steps, n)))
+        tracemalloc.start()
+        try:
+            mat = lattice_forward(q, E, keep_cache=True)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert mat.cache is not None
+        assert peak < 1.15 * 2 * (t_steps + 1) * n * 8
+
     def test_cache_requires_unfiltered_gdca(self):
         E = np.full((3, 4), 0.25)
         with pytest.raises(ValueError):
@@ -658,7 +676,9 @@ class TestLatticeBackward:
     @staticmethod
     def allocating_backward(alignment, d_probs):
         """The per-step loop that allocates its temporaries on every
-        step, kept as the reference for the buffered reverse kernel."""
+        step, kept as the reference for the buffered reverse kernel.  It
+        rebuilds each pre-content vector a from the cached rows, as the
+        forward step built it."""
         cache = alignment.cache
         t_steps, n = cache.energies.shape
         move, stay = _shift_weights(cache.q, cache.convention)
@@ -670,7 +690,9 @@ class TestLatticeBackward:
             g = carry + d_probs[t + 1]
             p_prev = cache.p_rows[t]
             db = (g - np.dot(g, cache.p_rows[t + 1])) / cache.sums[t]
-            d_energies[t] = db * cache.a_rows[t]
+            a = stay * p_prev
+            a[1:] += move[1:] * p_prev[:-1]
+            d_energies[t] = db * a
             da = db * cache.energies[t]
             dstay = da * p_prev
             dmove = np.zeros(n)
@@ -684,8 +706,12 @@ class TestLatticeBackward:
     @pytest.mark.parametrize("convention", ["prose", "eq3-literal"])
     @pytest.mark.parametrize("n", [1, 2, 3, 7, 8, 9, 14, 64, 256])
     def test_equals_allocating_loop(self, convention, n):
+        # the reverse pass works in 128-step blocks: T covers one short
+        # block, one full block, a full one and a step, and a short last
+        # block after two; at N = 2 the dq terms have one column besides
+        # the zero one, where numpy would sum a lone column pairwise
         rng = np.random.default_rng(n)
-        for t_steps in (1, 5, 130):
+        for t_steps in (1, 5, 130) if n == 256 else (1, 5, 127, 128, 129, 130, 257, 300, 385):
             q = TransitionTokens(q=rng.uniform(0.05, 0.95, n))
             E = normalize_energies(rng.normal(0.0, 2.0, (t_steps, n)))
             mat = lattice_forward(q, E, StepOptions(convention=convention), keep_cache=True)

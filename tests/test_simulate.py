@@ -176,6 +176,14 @@ class TestQueryGenerator:
         assert not np.array_equal(e1, e3)
         assert e1.sum() == pytest.approx(1.0)
 
+    @pytest.mark.parametrize("length", [3, 6])
+    def test_rejects_an_alignment_of_another_length_by_name(self, length):
+        gen = QueryGenerator(5, seed=7)
+        with pytest.raises(ValueError, match="^alignment/key length mismatch$"):
+            gen.energies(np.full(length, 1.0 / length))
+        with pytest.raises(ValueError, match="^alignment/key length mismatch$"):
+            gen.energies(init_alignment(length))
+
     @pytest.mark.parametrize("n", [1, 14, 128])
     @pytest.mark.parametrize("seed", [0, 11])
     def test_matches_the_validating_loop(self, n, seed):

@@ -44,7 +44,8 @@ class TestOracle:
         with pytest.raises(ValueError, match="^non-finite frame target$"):
             oracle_tokens(np.array([5.0, bad]))
 
-    @pytest.mark.parametrize("q_min", [True, np.True_, "0.1", np.nan, 1.5])
+    # an int beyond the largest double is not finite as a float
+    @pytest.mark.parametrize("q_min", [True, np.True_, "0.1", np.nan, 1.5, -(10**400), 10**400])
     def test_rejects_bad_floor(self, q_min):
         with pytest.raises(ValueError, match=r"^q_min must be finite and <= 1; got "):
             oracle_tokens(np.array([5.0, 3.0]), q_min=q_min)
