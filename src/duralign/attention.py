@@ -16,9 +16,10 @@ move/stay weights:
 The kernel is built once per run: weights, scratch buffers and the
 window at every offset, so a step's mask is a slice and a step writes
 its row in place.  ``lattice_forward``, ``simulate.run_simulation`` and
-the validating ``gdca_step``/``fa_step``/``la_step`` all step through
-it; la without the filter has no recursion, so the simulator hands it
-a whole block of energy rows, as columns, in one call.  With q = 0.5
+``gdca_step``/``fa_step``/``la_step`` all step through it; those three
+check their input and reject options that name another mechanism.  la
+without the filter has no recursion, so the simulator hands it a whole
+block of energy rows, as columns, in one call.  With q = 0.5
 everywhere the gdca weights are exactly half the fa weights (including
 the absorbing boundary), so the two mechanisms agree bit-for-bit after
 normalization.
@@ -31,13 +32,13 @@ runs many sequences at once, through the private ``_batch_forward``.
 from __future__ import annotations
 
 from collections.abc import Iterator
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 from numpy import add, divide, multiply, negative, subtract
 
 from ._shortest import repr_columns
-from .tokens import TransitionTokens, _checked, _finite, _typed_fields
+from .tokens import TransitionTokens, _checked, _floats, _typed_fields
 
 __all__ = [
     "EnergyParams",
@@ -83,10 +84,10 @@ class EnergyParams:
     b: np.ndarray  # (attn_dim,)
 
     def __post_init__(self):
+        self.W, self.V, self.v, self.b = (_floats("energy parameter", x) for x in (self.W, self.V, self.v, self.b))
         a = self.v.size
         if self.W.shape[0] != a or self.V.shape[0] != a or self.b.shape != (a,):
             raise ValueError("inconsistent energy parameter shapes")
-        _finite("energy parameter", self.W, self.V, self.v, self.b)
 
     @classmethod
     def init(cls, seed: int, query_dim: int = 8, key_dim: int = 8, attn_dim: int = 8):
@@ -109,8 +110,7 @@ class EnergyGrads:
 
 
 def _energy_inputs(params: EnergyParams, query: np.ndarray, keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    query = np.asarray(query, dtype=np.float64)
-    keys = np.asarray(keys, dtype=np.float64)
+    query, keys = _floats("query", query), _floats("keys", keys)
     if keys.ndim != 2 or keys.shape[0] < 1:
         raise ValueError("keys must be a non-empty (N, key_dim) array")
     if query.shape != (params.W.shape[1],) or keys.shape[1] != params.V.shape[1]:
@@ -133,10 +133,9 @@ def content_energies_backward(
 ) -> EnergyGrads:
     """Analytic gradients of sum(upstream_grad * e) w.r.t. W, V, v, b."""
     query, keys = _energy_inputs(params, query, keys)
-    de = np.asarray(upstream_grad, dtype=np.float64)
+    de = _floats("upstream gradient", upstream_grad)
     if de.shape != (keys.shape[0],):
         raise ValueError("upstream gradient shape mismatch")
-    _finite("upstream gradient", de)
     a = np.tanh(params.W @ query + keys @ params.V.T + params.b)
     dv = a.T @ de
     dz = np.outer(de, params.v) * (1.0 - a * a)  # (N, attn_dim)
@@ -156,10 +155,9 @@ def _softmax(e: np.ndarray) -> np.ndarray:
 
 
 def _finite_energy(e: np.ndarray) -> np.ndarray:
-    e = np.asarray(e, dtype=np.float64)
+    e = _floats("energy", e)
     if e.shape[-1:] == (0,):
         raise ValueError("empty energy vector: need at least one phoneme")
-    _finite("energy", e)
     return e
 
 
@@ -173,11 +171,10 @@ class AlignmentDistribution:
     step: int = 0
 
     def __post_init__(self):
-        p = np.asarray(self.p, dtype=np.float64)
+        p = _floats("alignment", self.p)
         object.__setattr__(self, "p", p)
         if p.ndim != 1 or p.size == 0:
             raise ValueError("alignment must be a non-empty vector")
-        _finite("alignment", p)
         if np.any(p < 0) or abs(p.sum() - 1.0) > 1e-9:
             raise ValueError("alignment is not a probability distribution")
 
@@ -190,10 +187,9 @@ class AlignmentMatrix:
     cache: "LatticeCache | None" = None
 
     def __post_init__(self):
-        self.probs = np.asarray(self.probs, dtype=np.float64)
+        self.probs = _floats("alignment probability", self.probs)
         if self.probs.ndim != 2:
             raise ValueError(f"alignment matrix must be one (T, N) array; got shape {self.probs.shape}")
-        _finite("alignment probability", self.probs)
 
     @property
     def n_steps(self) -> int:
@@ -265,20 +261,21 @@ def _shift_weights(q: np.ndarray, convention: str) -> tuple[np.ndarray, np.ndarr
 class _Kernel:
     """One run's step kernel, for rows of ``shape``: (N,), or (N, B)
     columns for a batch, with raw tokens ``q`` laid out the same way.
-    Its constructor is the one place that dispatches on the mechanism.
+    Its constructor is the one place that dispatches on the mechanism,
+    which it reads from ``opts``.
 
     A ``whole`` kernel (la without the filter: no recursion) also takes
     T steps at once as the (N, T) columns of a transposed (T, N) energy
     block; numpy then sums each contiguous row pairwise, as it sums one
     step's, so the rows are bit for bit those of T single steps."""
 
-    def __init__(self, mechanism: str, q: np.ndarray | None, opts: StepOptions, shape: tuple):
+    def __init__(self, q: np.ndarray | None, opts: StepOptions, shape: tuple):
         n = shape[0]
         self.stay = None  # la has no weights
-        if mechanism == "fa":  # gdca at q = 0.5, doubled: move 1, stay 1, final stay 2
+        if opts.mechanism == "fa":  # gdca at q = 0.5, doubled: move 1, stay 1, final stay 2
             move, stay = _shift_weights(np.full(shape, 0.5), "prose")
             move, self.stay = 2.0 * move, 2.0 * stay
-        elif mechanism == "gdca":
+        elif opts.mechanism == "gdca":
             if q is None or len(q) != n:
                 raise ValueError("gdca needs tokens matching the phoneme count")
             move, self.stay = _shift_weights(q, opts.convention)
@@ -347,24 +344,26 @@ def dynamic_filter(
     Ties break toward the smallest index.  The result is intentionally
     not renormalized; normalization happens at the end of the step.
     """
-    p = p_prev.p if isinstance(p_prev, AlignmentDistribution) else np.asarray(p_prev, dtype=np.float64)
+    p = p_prev.p if isinstance(p_prev, AlignmentDistribution) else _floats("alignment", p_prev)
     if p.size == 0:
         raise ValueError("empty alignment vector: nothing to filter")
-    _finite("alignment", p)
     return p * window_mask(p.size, int(np.argmax(p)), width, shape)
 
 
 def _public_step(mechanism: str, p_prev: AlignmentDistribution | None, q: TransitionTokens | None, e_norm, opts: StepOptions):
     """The one validated step behind ``gdca_step``, ``fa_step`` and
-    ``la_step``: finite energies, an alignment of their length (the
-    kernel checks the tokens), and a checked distribution out.  Without
-    ``p_prev`` (la's first step) the result is step 0."""
+    ``la_step``: options for the step's own ``mechanism``, finite
+    energies, an alignment of their length (the kernel checks the
+    tokens), and a checked distribution out.  Without ``p_prev`` (la's
+    first step) the result is step 0."""
+    if opts.mechanism != mechanism:
+        raise ValueError(f"{mechanism}_step got opts for mechanism '{opts.mechanism}'")
     e = _finite_energy(e_norm)
     p = e if p_prev is None else p_prev.p  # la without the filter never reads p
     if p.size != e.size:
         raise ValueError("length mismatch between alignment and energies")
     out = np.empty(e.size)
-    _Kernel(mechanism, None if q is None else q.q, opts, e.shape).step(p, e, out)
+    _Kernel(None if q is None else q.q, opts, e.shape).step(p, e, out)
     return AlignmentDistribution(p=out, step=0 if p_prev is None else p_prev.step + 1)
 
 
@@ -395,16 +394,14 @@ def la_step(
     """Content-only step; with the filter enabled, a window centered at
     the previous argmax masks the energies before renormalizing."""
     if p_prev is None:  # first step: no previous argmax to center a window on
-        opts = StepOptions(mechanism="la")
+        opts = replace(opts, filter_enabled=False)
     return _public_step("la", p_prev, None, e_norm, opts)
 
 
 def context_vector(p: AlignmentDistribution | np.ndarray, keys: np.ndarray) -> np.ndarray:
     """Alignment-weighted sum of key rows, for a finite alignment and finite keys."""
-    pv = p.p if isinstance(p, AlignmentDistribution) else np.asarray(p, dtype=np.float64)
-    keys = np.asarray(keys, dtype=np.float64)
-    _finite("alignment", pv)
-    _finite("keys", keys)
+    pv = p.p if isinstance(p, AlignmentDistribution) else _floats("alignment", p)
+    keys = _floats("keys", keys)
     if keys.shape[0] != pv.size:
         raise ValueError("alignment/key length mismatch")
     return pv @ keys
@@ -447,10 +444,13 @@ def lattice_forward(
         raise ValueError("backward cache requires unfiltered gdca")
     rows = np.empty((t_steps + 1, n))
     rows[0] = init_alignment(n).p
-    kernel = _Kernel(opts.mechanism, None if q is None else q.q, opts, (n,))
-    sums = [kernel.step(p, e, out) for p, e, out in zip(rows, energies, rows[1:])]
-    cache = LatticeCache(q.q.copy(), energies.copy(), rows, np.array(sums), opts.convention) if keep_cache else None
-    return AlignmentMatrix(probs=rows, cache=cache)
+    kernel = _Kernel(None if q is None else q.q, opts, (n,))
+    steps = (kernel.step(p, e, out) for p, e, out in zip(rows, energies, rows[1:]))
+    sums = np.fromiter(steps, dtype=np.float64, count=t_steps)
+    alignment = AlignmentMatrix(probs=rows)  # its finiteness mask is freed before the cache copies the energies
+    if keep_cache:
+        alignment.cache = LatticeCache(q.q.copy(), energies.copy(), rows, sums, opts.convention)
+    return alignment
 
 
 def _batch_forward(q: np.ndarray, energies: np.ndarray, opts: StepOptions) -> np.ndarray:
@@ -464,7 +464,7 @@ def _batch_forward(q: np.ndarray, energies: np.ndarray, opts: StepOptions) -> np
     columns = np.ascontiguousarray(energies.transpose(1, 2, 0))
     rows = np.empty((t_steps + 1, n, batch))
     rows[0] = init_alignment(n).p[:, None]
-    kernel = _Kernel(opts.mechanism, q.T, opts, (n, batch))
+    kernel = _Kernel(q.T, opts, (n, batch))
     for t in range(t_steps):
         kernel.step(rows[t], columns[t], rows[t + 1])
     return np.ascontiguousarray(rows.transpose(2, 0, 1))
@@ -483,10 +483,9 @@ def lattice_backward(alignment: AlignmentMatrix, d_probs: np.ndarray) -> tuple[n
     cache = alignment.cache
     if cache is None:
         raise ValueError("alignment has no backward cache; rerun with keep_cache=True")
-    d_probs = np.asarray(d_probs, dtype=np.float64)
+    d_probs = _floats("upstream gradient d_probs", d_probs)
     if d_probs.shape != alignment.probs.shape:
         raise ValueError("upstream gradient shape mismatch")
-    _finite("upstream gradient d_probs", d_probs)
     t_steps, n = cache.energies.shape
     move, stay = _shift_weights(cache.q, cache.convention)
     # prose: dq[n] gains da[n+1] * p_prev[n] (move) and loses da[n] * p_prev[n] (stay); eq3-literal negates both

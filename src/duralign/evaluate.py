@@ -17,7 +17,7 @@ import numpy as np
 from .attention import AlignmentMatrix
 from .score import PhonemeSequence, Score, expand_to_phonemes, with_uniform_tempo
 from .simulate import SimConfig, SimResult, SynthEnergySpec, phoneme_at_frame, run_simulation
-from .tokens import Q_MIN_DEFAULT, TransitionTokens, _durations, _finite, oracle_tokens
+from .tokens import Q_MIN_DEFAULT, TransitionTokens, _durations, _floats, oracle_tokens
 
 __all__ = [
     "MECHANISM_CONFIGS",
@@ -66,12 +66,9 @@ def sharpness_score(alignment: AlignmentMatrix) -> float:
 def duration_error(realized: np.ndarray, target: np.ndarray) -> tuple[float, float]:
     """(mean absolute error in frames, mean relative error) for finite
     frame counts against positive targets."""
-    realized = np.asarray(realized, dtype=np.float64)
-    target = np.asarray(target, dtype=np.float64)
-    if realized.shape != target.shape:
-        raise ValueError("length mismatch")
-    _finite("realized", realized)
-    _finite("target", target)
+    realized, target = _floats("realized", realized), _floats("target", target)
+    if realized.shape != target.shape or target.size == 0:
+        raise ValueError(f"realized/target shapes must match and be non-empty; got {realized.shape} and {target.shape}")
     if (target <= 0).any():
         raise ValueError("non-positive target")
     abs_err = np.abs(realized - target)
@@ -185,6 +182,7 @@ def tempo_sweep(
     are re-derived from the rescaled frame targets, and stop steps are
     normalized to the first tempo.
     """
+    tempos = _floats("default_tempo_bpm", tempos).tolist()  # each becomes the default tempo of a score
     if not tempos:
         raise ValueError("empty tempo list")
     stop_steps = []
@@ -198,7 +196,7 @@ def tempo_sweep(
         results.append(result)
     ratios = tuple(s / stop_steps[0] for s in stop_steps)
     return TempoSweepResult(
-        tempos=tuple(float(t) for t in tempos),
+        tempos=tuple(tempos),
         stop_steps=tuple(stop_steps),
         ratios=ratios,
         results=tuple(results),

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import json
 import math
+import sys
 from dataclasses import dataclass, replace
 
 __all__ = [
@@ -131,10 +132,11 @@ def _require(obj: dict, key: str, where: str):
 
 
 def _positive(value, message: str) -> float:
-    """A JSON number above zero, as a float; booleans are not numbers."""
+    """A JSON number above zero, as a float (an int beyond the largest
+    double as an infinity, which the score rejects); booleans are not numbers."""
     if isinstance(value, bool) or not isinstance(value, (int, float)) or value <= 0:
         raise ScoreError(message)
-    return float(value)
+    return math.inf if value > sys.float_info.max else float(value)
 
 
 def parse_score_native(text: str) -> Score:

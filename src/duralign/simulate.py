@@ -32,7 +32,7 @@ from .attention import (
 )
 from ._seeds import step_generators
 from .score import PhonemeSequence
-from .tokens import TransitionTokens, _checked, _durations, _finite, _is_a, _typed_fields
+from .tokens import TransitionTokens, _checked, _durations, _is_a, _typed_fields
 
 __all__ = [
     "ENERGY_MODES",
@@ -136,21 +136,10 @@ def phoneme_at_frame(d: np.ndarray, t: int) -> int:
     """Index of the phoneme whose cumulative frame interval contains
     frame t >= 0; frames past the end belong to the last phoneme."""
     t = _checked("t", t, int, least=0)
-    d = np.asarray(d, dtype=np.float64)
-    if d.size == 0:
-        raise ValueError("empty durations: need at least one phoneme")
-    _finite("durations", d)
+    d = _durations(d)
     bounds = np.cumsum(d)
     idx = int(np.searchsorted(bounds, t, side="right"))
     return min(idx, d.size - 1)
-
-
-def _positive_durations(seq: PhonemeSequence | np.ndarray) -> np.ndarray:
-    """The frame targets as float64, each checked to be finite and positive."""
-    d = _durations(seq)
-    if not np.all(np.isfinite(d) & (d > 0)):
-        raise ValueError("durations must be finite and positive")
-    return d
 
 
 _ENERGY_BLOCK = 128  # synthetic energy rows built at a time
@@ -164,7 +153,7 @@ class _SynthRows:
     def __init__(self, d: np.ndarray, spec: SynthEnergySpec, seed: int):
         if spec.mode == "from_query_generator":
             raise ValueError("query-generator energies are stateful; use QueryGenerator")
-        self.bounds = np.cumsum(np.asarray(d, dtype=np.float64))
+        self.bounds = np.cumsum(d)
         self.spec, self.seed = spec, seed
         self.noisy = spec.mode != "oracle_diagonal" and spec.noise_sigma > 0
         schedule = spec.spike_schedule if spec.mode == "adversarial_spike" else ()
@@ -198,7 +187,7 @@ def synth_energies(
     because it carries state.
     """
     seed, t = _checked("seed", seed, int, least=0), _checked("t", t, int, least=0)
-    return _SynthRows(_positive_durations(d), spec, seed).rows(t, t + 1)[0]
+    return _SynthRows(_durations(d), spec, seed).rows(t, t + 1)[0]
 
 
 class QueryGenerator:
@@ -241,9 +230,9 @@ def run_simulation(
     ``stop_patience`` consecutive steps (or after ``fixed_steps``).
     Hitting ``max_steps`` first flags the result instead of raising.
     """
-    d = _positive_durations(seq)
+    d = _durations(seq)
     n = d.size
-    kernel = _Kernel(cfg.opts.mechanism, None if tokens is None else tokens.q, cfg.opts, (n,))
+    kernel = _Kernel(None if tokens is None else tokens.q, cfg.opts, (n,))
     stop_rule = cfg.fixed_steps is None
     limit = cfg.max_steps if stop_rule else cfg.fixed_steps
     qgen = QueryGenerator(n, cfg.seed) if cfg.energy.mode == "from_query_generator" else None

@@ -5,9 +5,9 @@ decoder step.  Two sources are provided: a closed-form oracle (geometric
 dwell, q = 1/d) and a small trainable encoder mapping duration features
 to (0, 1) with hand-rolled analytic gradients.
 
-The module also owns the package's two private input checks, so each
-rule is written once: ``_checked`` for settings fields and scalar
-arguments, ``_finite`` for arrays.
+The module also owns the package's private input checks, so each rule
+is written once: ``_checked`` for settings fields and scalar arguments,
+``_floats`` for arrays and ``_durations`` for frame targets.
 """
 
 from __future__ import annotations
@@ -50,7 +50,7 @@ class TransitionTokens:
     q: np.ndarray  # shape (N,); each element in (0, 1]
 
     def __post_init__(self):
-        q = np.asarray(self.q, dtype=np.float64)
+        q = _floats("transition token", self.q)
         object.__setattr__(self, "q", q)
         if q.ndim != 1 or q.size == 0:
             raise ValueError(f"q must be one non-empty (N,) vector; got shape {q.shape}")
@@ -68,11 +68,10 @@ class DurationFeatures:
     rows: np.ndarray  # shape (N, 3)
 
     def __post_init__(self):
-        rows = np.asarray(self.rows, dtype=np.float64)
+        rows = _floats("feature value", self.rows)
         object.__setattr__(self, "rows", rows)
         if rows.ndim != 2 or rows.shape[1] != 3:
             raise ValueError("features must be an (N, 3) array")
-        _finite("feature value", rows)
         if np.any(rows[:, 0] <= 0):
             raise ValueError("non-positive duration_s")
 
@@ -113,22 +112,31 @@ def _typed_fields(settings, kind: type, *names: str, least=None):
         object.__setattr__(settings, name, _checked(name, getattr(settings, name), kind, least))
 
 
-def _finite(name: str, *arrays) -> None:
-    """Raise ``non-finite <name>`` if any array holds a NaN or an infinity.
-    The check builds a transient bool mask of the array's shape (faster
-    than its min and max); the entry points check their input on entry,
-    so ``lattice_backward``'s mask over ``d_probs`` is freed before its
-    gradient arrays exist and does not add to its peak."""
-    for a in arrays:
-        if not np.isfinite(a).all():
-            raise ValueError(f"non-finite {name}")
+def _floats(name: str, x) -> np.ndarray:
+    """The one converter of array arguments: ``x`` as float64, or a
+    ValueError ``non-finite <name>`` if it holds a NaN, an infinity or an
+    int beyond the largest double.  Its transient bool mask is freed
+    before the caller allocates, so it adds nothing to a peak."""
+    try:
+        a = np.asarray(x, dtype=np.float64)
+    except OverflowError:  # an int beyond the largest double: as in ``_checked``, an infinity
+        a = np.array(np.inf)
+    if not np.isfinite(a).all():
+        raise ValueError(f"non-finite {name}")
+    return a
 
 
 def _durations(seq: PhonemeSequence | np.ndarray) -> np.ndarray:
-    """The frame targets of a phoneme sequence, or an array of them, as float64."""
-    if isinstance(seq, PhonemeSequence):
-        return np.array(seq.target_frames, dtype=np.float64)
-    return np.asarray(seq, dtype=np.float64)
+    """The one frame-target rule: the targets of a phoneme sequence, or
+    an array of them, as a non-empty, finite, positive float64 vector."""
+    d = _floats("durations", seq.target_frames if isinstance(seq, PhonemeSequence) else seq)
+    if d.size == 0:
+        raise ValueError("empty durations: need at least one phoneme")
+    if d.ndim != 1:
+        raise ValueError(f"durations must be one (N,) vector; got shape {d.shape}")
+    if np.any(d <= 0):
+        raise ValueError("non-positive durations")
+    return d
 
 
 def oracle_tokens(seq: PhonemeSequence | np.ndarray, q_min: float = Q_MIN_DEFAULT) -> TransitionTokens:
@@ -145,7 +153,6 @@ def oracle_tokens(seq: PhonemeSequence | np.ndarray, q_min: float = Q_MIN_DEFAUL
     if not ok:
         raise ValueError(f"q_min must be finite and <= 1; got {q_min}")
     d = _durations(seq)
-    _finite("frame target", d)
     if np.any(d < 1):
         raise ValueError("frame targets must be >= 1")
     return TransitionTokens(q=np.clip(1.0 / d, q_min, 1.0))
@@ -190,7 +197,8 @@ class DurationEncoderParams:
         )
 
     def check_finite(self):
-        _finite("encoder parameter", self.w1, self.b1, self.w2, self.b2)
+        for value in (self.w1, self.b1, self.w2, self.b2):
+            _floats("encoder parameter", value)
 
 
 @dataclass
@@ -239,10 +247,9 @@ def encoder_backward(
     """Analytic gradients of sum(upstream_grad * q) w.r.t. all parameters,
     for finite parameters and a finite upstream gradient."""
     _check_encoder(params, feats)
-    upstream = np.asarray(upstream_grad, dtype=np.float64)
+    upstream = _floats("upstream gradient", upstream_grad)
     if upstream.shape != (feats.rows.shape[0],):
         raise ValueError("upstream gradient shape mismatch")
-    _finite("upstream gradient", upstream)
     return _encoder_grads(params, *_forward_parts(params, feats.rows), upstream)
 
 

@@ -421,8 +421,11 @@ class TestLatticeForward:
 
     def test_cache_holds_two_arrays_of_the_rows_size(self):
         # the rows and a copy of the energies, and no (T, N) pre-content
-        # rows; the rest is the normalizers and, while AlignmentMatrix
-        # checks the rows, their bool finiteness mask (an eighth of them)
+        # rows; AlignmentMatrix's bool finiteness mask over the rows is
+        # freed before the copy is made, and the normalizers are one (T,)
+        # array: the peak measured 1.014 times the two arrays, and the
+        # mask (an eighth of the rows) or a list of T numpy scalars held
+        # at the peak would each exceed the bound
         rng = np.random.default_rng(7)
         t_steps, n = 848, 64
         q = TransitionTokens(q=rng.uniform(0.05, 0.95, n))
@@ -434,7 +437,7 @@ class TestLatticeForward:
         finally:
             tracemalloc.stop()
         assert mat.cache is not None
-        assert peak < 1.15 * 2 * (t_steps + 1) * n * 8
+        assert peak < 1.03 * 2 * (t_steps + 1) * n * 8
 
     def test_cache_requires_unfiltered_gdca(self):
         E = np.full((3, 4), 0.25)
@@ -581,7 +584,8 @@ class TestOccupancy:
 
     @pytest.mark.parametrize("q", [[2.0, 0.5], [0.5, math.nan], [0.0, 0.5], [0.5, -0.1]])
     def test_rejects_raw_tokens_outside_unit_interval(self, q):
-        with pytest.raises(ValueError, match=r"transition tokens must lie in \(0, 1\]"):
+        message = r"^non-finite transition token$" if math.isnan(q[1]) else r"transition tokens must lie in \(0, 1\]"
+        with pytest.raises(ValueError, match=message):
             pure_lattice_occupancy(np.array(q), horizon=5)
 
     def test_rejects_negative_horizon(self):

@@ -48,6 +48,12 @@ class TestParse:
         assert (code, out) == (2, "")
         assert "non-finite default_tempo_bpm" in err
 
+    def test_tempo_beyond_the_double_range_is_usage_error(self, capsys, tmp_path):
+        bad = tmp_path / "huge.json"
+        bad.write_text('{"tempo_bpm": 1%s, "notes": [{"syllable": "a", "midi_pitch": 60, "duration_beats": 1}]}' % ("0" * 400))
+        code, out, err = run(capsys, "parse", str(bad))
+        assert (code, out, err) == (2, "", f"error: {bad}: non-finite default_tempo_bpm\n")
+
     @pytest.mark.parametrize(
         "old, new, message",
         [

@@ -72,6 +72,11 @@ class TestMetrics:
         with pytest.raises(ValueError, match=f"^non-finite {name}$"):
             duration_error(**args)
 
+    def test_duration_error_rejects_empty_frame_counts(self):
+        # the mean of no frame counts would be (nan, nan)
+        with pytest.raises(ValueError, match=r"^realized/target shapes must match and be non-empty; got \(0,\) and \(0,\)$"):
+            duration_error(np.array([]), np.array([]))
+
     @pytest.mark.parametrize("target", [[10.0, 0.0], [-1.0, 10.0]])
     def test_duration_error_rejects_a_non_positive_target(self, target):
         with pytest.raises(ValueError, match="^non-positive target$"):

@@ -41,7 +41,7 @@ class TestOracle:
 
     @pytest.mark.parametrize("bad", [np.inf, np.nan])
     def test_rejects_non_finite_frame_targets(self, bad):
-        with pytest.raises(ValueError, match="^non-finite frame target$"):
+        with pytest.raises(ValueError, match="^non-finite durations$"):
             oracle_tokens(np.array([5.0, bad]))
 
     # an int beyond the largest double is not finite as a float
