@@ -16,7 +16,7 @@ import numpy as np
 
 from .attention import AlignmentMatrix
 from .score import PhonemeSequence, Score, expand_to_phonemes, with_uniform_tempo
-from .simulate import SimConfig, SimResult, SynthEnergySpec, phoneme_at_frame, run_simulation
+from .simulate import SimConfig, SimResult, SynthEnergySpec, _SHARED, phoneme_at_frame, run_simulation
 from .tokens import Q_MIN_DEFAULT, TransitionTokens, _durations, _floats, oracle_tokens
 
 __all__ = [
@@ -71,6 +71,11 @@ def duration_error(realized: np.ndarray, target: np.ndarray) -> tuple[float, flo
         raise ValueError(f"realized/target shapes must match and be non-empty; got {realized.shape} and {target.shape}")
     if (target <= 0).any():
         raise ValueError("non-positive target")
+    return _duration_error(realized, target)
+
+
+def _duration_error(realized: np.ndarray, target: np.ndarray) -> tuple[float, float]:
+    """``duration_error`` without its checks, for a run's own frame counts and targets."""
     abs_err = np.abs(realized - target)
     return float(np.mean(abs_err)), float(np.mean(abs_err / target))
 
@@ -118,7 +123,7 @@ class MechanismReport:
 
 def _row_from_result(label: str, result: SimResult, target: np.ndarray) -> MechanismRow:
     mono = _run_monotonicity(result.alignment)
-    mae, rel = duration_error(result.realized_frames, target)
+    mae, rel = _duration_error(result.realized_frames, target)
     failed = result.stopped_by == "max_steps" or mono < 0.5
     return MechanismRow(
         label=label,
@@ -140,16 +145,22 @@ def compare_mechanisms(
 ) -> MechanismReport:
     """Run the six ablation configurations on identical seeds/energies.
 
-    A run is marked failed if the stop rule never fires within
-    max_steps or the monotonicity score drops below 0.5.
+    The six runs share each synthetic energy block, built once, so the
+    call holds the longest run's energy rows (the stateful query
+    generator stays per run).  A run is marked failed if the stop rule
+    never fires within max_steps or the monotonicity score drops below 0.5.
     """
     d = _durations(seq)
     rows = []
-    for label, mechanism, filtered in MECHANISM_CONFIGS:
-        opts = replace(base_cfg.opts, mechanism=mechanism, filter_enabled=filtered)
-        cfg = replace(base_cfg, opts=opts)
-        result = run_simulation(d, tokens, cfg)  # only the gdca kernel reads the tokens
-        rows.append(_row_from_result(label, result, d))
+    scope = _SHARED.set([None])
+    try:
+        for label, mechanism, filtered in MECHANISM_CONFIGS:
+            opts = replace(base_cfg.opts, mechanism=mechanism, filter_enabled=filtered)
+            cfg = replace(base_cfg, opts=opts)
+            result = run_simulation(d, tokens, cfg)  # only the gdca kernel reads the tokens
+            rows.append(_row_from_result(label, result, d))
+    finally:
+        _SHARED.reset(scope)
     return MechanismReport(rows=tuple(rows))
 
 

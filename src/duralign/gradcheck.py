@@ -36,9 +36,11 @@ def central_difference(fn, x: np.ndarray, step: float = FD_STEP) -> np.ndarray:
     Row 2i of the stack is x with x[i] + step, row 2i + 1 is x with
     x[i] - step (i in ravel order); ``fn`` maps the (2 * x.size,
     *x.shape) stack to the vector of the rows' losses.  The stack holds
-    O(x.size ** 2) floats, so this is meant for small checks.
+    O(x.size ** 2) floats, so this is meant for small checks.  A point
+    holding a NaN, an infinity or an int beyond the double range is
+    rejected as ``non-finite point``.
     """
-    x = np.asarray(x, dtype=np.float64)
+    x = tokens._floats("point", x)
     flat = x.ravel()
     k = np.arange(flat.size)
     points = np.tile(flat, (2 * flat.size, 1))

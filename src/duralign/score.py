@@ -40,6 +40,13 @@ class ScoreError(ValueError):
     """Malformed score document or score that violates an invariant."""
 
 
+def _finite(value) -> bool:
+    """Whether a number lies within the double range: False for a NaN, an
+    infinity or an int beyond the largest double, which ``math.isfinite``
+    would meet with an OverflowError."""
+    return -sys.float_info.max <= value <= sys.float_info.max
+
+
 @dataclass(frozen=True)
 class NoteEvent:
     """One note: a syllable sung at a pitch for a duration in beats.
@@ -58,7 +65,7 @@ class NoteEvent:
     def __post_init__(self):
         for name in ("duration_beats", "tempo_bpm"):
             value = getattr(self, name)
-            if value is not None and not math.isfinite(value):
+            if value is not None and not _finite(value):
                 raise ScoreError(f"non-finite {name}")
 
     def effective_tempo(self, default_bpm: float) -> float:
@@ -72,7 +79,7 @@ class Score:
     title: str | None = None
 
     def __post_init__(self):
-        if not math.isfinite(self.default_tempo_bpm):
+        if not _finite(self.default_tempo_bpm):
             raise ScoreError("non-finite default_tempo_bpm")
         if self.default_tempo_bpm <= 0:
             raise ScoreError("non-positive default tempo")

@@ -9,11 +9,13 @@ additive scoring path end to end.
 The noise of step t is ``np.random.default_rng([seed, t]).normal(0,
 noise_sigma, N)``, bit for bit.  The generators of a block of steps are
 seeded by one array hash of the block's (seed, t) pairs (``_seeds``)
-rather than by one ``SeedSequence`` per step.
+rather than by one ``SeedSequence`` per step.  The six runs of a
+comparison (``_SHARED``) share each block, built once and kept read-only.
 """
 
 from __future__ import annotations
 
+import contextvars
 import json
 from dataclasses import dataclass
 
@@ -163,6 +165,7 @@ class _SynthRows:
             raise ValueError(f"spike schedule references phoneme {phonemes[bad][0]} out of range")
         order = np.argsort(steps, kind="stable")  # keeps schedule order within a step
         self.spike_steps, self.spike_phonemes = steps[order], phonemes[order]
+        self.kept: dict[tuple[int, int], np.ndarray] = {}  # blocks kept by _KeptRows
 
     def rows(self, t0: int, t1: int) -> np.ndarray:
         """Normalized energy rows for decoder steps t0 .. t1-1."""
@@ -175,6 +178,31 @@ class _SynthRows:
         lo, hi = np.searchsorted(self.spike_steps, [t0, t1])
         np.add.at(raw, (self.spike_steps[lo:hi] - t0, self.spike_phonemes[lo:hi]), self.spec.spike_magnitude)
         return normalize_energies(raw)
+
+
+class _KeptRows(_SynthRows):
+    """A sharing scope's rows: each block is built once and kept read-only."""
+
+    def rows(self, t0: int, t1: int) -> np.ndarray:
+        if (t0, t1) not in self.kept:
+            self.kept[t0, t1] = super().rows(t0, t1)
+            self.kept[t0, t1].flags.writeable = False
+        return self.kept[t0, t1]
+
+
+# compare_mechanisms sets a one-slot list here around its six runs.  A batched
+# six-way driver replaces this scope once the harness stops timing each run.
+_SHARED = contextvars.ContextVar("duralign_shared_energies", default=None)
+
+
+def _energy_source(d: np.ndarray, cfg: SimConfig) -> _SynthRows:
+    """The open scope's rows if built for the same bounds, spec and seed, else the run's own."""
+    slot = _SHARED.get()
+    if slot is None:
+        return _SynthRows(d, cfg.energy, cfg.seed)
+    if slot[0] is None or (slot[0].spec, slot[0].seed) != (cfg.energy, cfg.seed) or not np.array_equal(slot[0].bounds, np.cumsum(d)):
+        slot[0] = _KeptRows(d, cfg.energy, cfg.seed)
+    return slot[0]
 
 
 def synth_energies(
@@ -236,7 +264,7 @@ def run_simulation(
     stop_rule = cfg.fixed_steps is None
     limit = cfg.max_steps if stop_rule else cfg.fixed_steps
     qgen = QueryGenerator(n, cfg.seed) if cfg.energy.mode == "from_query_generator" else None
-    synth = _SynthRows(d, cfg.energy, cfg.seed) if qgen is None else None
+    synth = _energy_source(d, cfg) if qgen is None else None
     whole = kernel.whole and qgen is None  # a block of steps per kernel call
 
     p = init_alignment(n).p

@@ -5,7 +5,8 @@ Each row is (entry point, argument, bad value, expected message).  An
 array argument gets its first number replaced by NaN, an infinity or
 an int beyond the largest double, or is replaced by an empty list;
 frame targets also get 0 and -3.  Each step function also gets options
-that name another mechanism.  ``QueryGenerator.energies`` is left out:
+that name another mechanism, and the score types built directly get a
+non-finite number.  ``QueryGenerator.energies`` is left out:
 the simulator's step loop calls it on rows it made itself, so it checks
 nothing per step.
 """
@@ -35,7 +36,8 @@ from duralign.attention import (
     pure_lattice_occupancy,
 )
 from duralign.evaluate import compare_mechanisms, duration_error, tempo_sweep
-from duralign.score import ScoreError, parse_score_native
+from duralign.gradcheck import central_difference
+from duralign.score import NoteEvent, Score, ScoreError, parse_score_native
 from duralign.simulate import SimConfig, SynthEnergySpec, phoneme_at_frame, run_simulation, synth_energies
 from duralign.tokens import (
     DurationEncoderParams,
@@ -123,6 +125,8 @@ ARRAY_ARGUMENTS = [
      "non-finite target", "realized/target shapes must match and be non-empty"),
     ("tempo_sweep", "tempos", lambda x: tempo_sweep(parse_score_native(json.dumps(SCORE)), x, CFG), [120.0, 60.0],
      "non-finite default_tempo_bpm", "empty tempo list"),
+    ("central_difference", "x", lambda x: central_difference(lambda p: p.sum(axis=1), x), [2.0, 1.0],
+     "non-finite point", None),  # an empty point has no stack to reshape; not part of the contract
 ]
 
 # (entry point, argument, call) of every name that takes frame targets
@@ -148,6 +152,14 @@ SCORE_FIELDS = [
      "non-finite default_tempo_bpm", "non-positive tempo_bpm"),
     ("duration_beats", lambda v: {**SCORE, "notes": [{**SCORE["notes"][0], "duration_beats": v}]},
      "non-finite duration_beats at note 0", "non-positive duration at note 0"),
+]
+
+
+# score types built directly: (type, field, construct from the field's value)
+SCORE_TYPES = [
+    ("NoteEvent", "duration_beats", lambda v: NoteEvent("la", ("l", "a"), 60, v)),
+    ("NoteEvent", "tempo_bpm", lambda v: NoteEvent("la", ("l", "a"), 60, 1.0, v)),
+    ("Score", "default_tempo_bpm", lambda v: Score(default_tempo_bpm=v, notes=(NoteEvent("la", ("l", "a"), 60, 1.0),))),
 ]
 
 
@@ -181,6 +193,9 @@ def contract_rows():
             document = json.dumps(doc("@")).replace('"@"', text)
             yield "parse_score_native", field, bad, lambda document=document: parse_score_native(document), \
                 f"^{message}$"
+    for entry, field, build in SCORE_TYPES:
+        for bad in (np.nan, np.inf, -np.inf, HUGE):
+            yield entry, field, bad, lambda build=build, bad=bad: build(bad), f"^non-finite {field}$"
 
 
 ROWS_OF_CONTRACT = list(contract_rows())
@@ -193,6 +208,6 @@ def row_id(row):
 
 @pytest.mark.parametrize("entry, argument, bad, call, message", ROWS_OF_CONTRACT, ids=[row_id(r) for r in ROWS_OF_CONTRACT])
 def test_entry_point_rejects_bad_input_by_name(entry, argument, bad, call, message):
-    error = ScoreError if entry == "parse_score_native" else ValueError
+    error = ScoreError if entry in ("parse_score_native", "NoteEvent", "Score") else ValueError
     with pytest.raises(error, match=message):
         call()

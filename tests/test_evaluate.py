@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import json
 
@@ -6,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from duralign.attention import AlignmentMatrix
+from duralign.attention import AlignmentMatrix, StepOptions
 from duralign.evaluate import (
     MECHANISM_CONFIGS,
     adversarial_family,
@@ -18,9 +19,9 @@ from duralign.evaluate import (
     tempo_sweep,
     token_profile,
 )
-from duralign import evaluate
+from duralign import evaluate, simulate
 from duralign.score import PhonemeEvent, PhonemeSequence, expand_to_phonemes, parse_score_native
-from duralign.simulate import SimConfig
+from duralign.simulate import SimConfig, SynthEnergySpec, run_simulation
 from duralign.tokens import TransitionTokens, oracle_tokens
 
 
@@ -127,6 +128,106 @@ class TestCompareMechanisms:
         d = np.array([6.0, 9.0, 7.0])
         cfg = SimConfig(seed=4)
         assert compare_mechanisms(d, oracle_tokens(d), cfg) == compare_mechanisms(d, oracle_tokens(d), cfg)
+
+
+def _sharing_cases(instances):
+    """(d, cfg) of the frozen family, a noisy diagonal under the stop rule
+    and a query-generator run."""
+    for inst in instances:
+        d = np.array(inst["d"], dtype=np.float64)
+        yield d, SimConfig(energy=adversarial_spec(inst), seed=inst["seed"], fixed_steps=int(d.sum()))
+    d = np.array([30.0, 45.0, 20.0, 60.0, 35.0, 50.0])
+    yield d, SimConfig(energy=SynthEnergySpec(mode="noisy_diagonal", noise_sigma=0.8), seed=11)
+    yield d, SimConfig(energy=SynthEnergySpec(mode="from_query_generator"), seed=3, fixed_steps=150)
+
+
+def _built_blocks(monkeypatch):
+    """Record each block ``_SynthRows.rows`` builds: ((t0, t1), rows)."""
+    built = []
+    inner = simulate._SynthRows.rows
+
+    def recording(self, t0, t1):
+        built.append(((t0, t1), inner(self, t0, t1)))
+        return built[-1][1]
+
+    monkeypatch.setattr(simulate._SynthRows, "rows", recording)
+    return built
+
+
+class TestSharedEnergies:
+    def test_results_equal_standalone_runs(self, monkeypatch, adversarial_instances):
+        inner = evaluate.run_simulation
+        for d, cfg in _sharing_cases(adversarial_instances):
+            tokens = oracle_tokens(d)
+            captured = []
+
+            def one_simulation(seq, toks, sim_cfg):  # as the benchmark harness wraps it
+                captured.append((sim_cfg, inner(seq, toks, sim_cfg)))
+                return captured[-1][1]
+
+            monkeypatch.setattr(evaluate, "run_simulation", one_simulation)
+            report = compare_mechanisms(d, tokens, cfg)
+            monkeypatch.setattr(evaluate, "run_simulation", inner)
+            assert len(captured) == 6
+            rows = []
+            for (label, _, _), (sim_cfg, shared) in zip(MECHANISM_CONFIGS, captured):
+                alone = run_simulation(d, tokens, sim_cfg)
+                assert np.array_equal(shared.alignment.probs, alone.alignment.probs)
+                assert np.array_equal(shared.realized_frames, alone.realized_frames)
+                assert (shared.stop_step, shared.stopped_by) == (alone.stop_step, alone.stopped_by)
+                rows.append(evaluate._row_from_result(label, alone, d))
+            assert report == evaluate.MechanismReport(rows=tuple(rows))
+
+    @pytest.mark.parametrize("case", [0, 20])  # a frozen instance; the noisy diagonal under the stop rule
+    def test_each_block_is_built_once_and_read_only(self, monkeypatch, adversarial_instances, case):
+        d, cfg = list(_sharing_cases(adversarial_instances))[case]
+        built = _built_blocks(monkeypatch)
+        report = compare_mechanisms(d, oracle_tokens(d), cfg)
+        spans = [span for span, _ in built]
+        longest = max(row.stop_step for row in report.rows)
+        assert spans == [(t0, min(t0 + 128, cfg.fixed_steps or cfg.max_steps)) for t0 in range(0, longest, 128)]
+        for _, rows in built:
+            assert not rows.flags.writeable
+            with pytest.raises(ValueError, match="read-only"):
+                rows[0, 0] = 1.0
+
+    def test_runs_in_a_scope_share_only_matching_energies(self, monkeypatch, adversarial_instances):
+        d, cfg = list(_sharing_cases(adversarial_instances))[0]
+        other = SimConfig(energy=cfg.energy, seed=cfg.seed + 1, fixed_steps=cfg.fixed_steps)
+        tokens = oracle_tokens(d)
+        alone = [run_simulation(d, tokens, c).alignment.probs for c in (cfg, other, cfg)]
+        built = _built_blocks(monkeypatch)
+        scope = simulate._SHARED.set([None])
+        try:
+            shared = [run_simulation(d, tokens, c).alignment.probs for c in (cfg, other, cfg)]
+        finally:
+            simulate._SHARED.reset(scope)
+        assert all(np.array_equal(a, b) for a, b in zip(shared, alone))
+        assert len(built) == 3 * 2  # the slot holds one source: seed, other seed, seed again
+
+    def test_nothing_is_kept_after_a_comparison(self, monkeypatch, adversarial_instances):
+        d, cfg = list(_sharing_cases(adversarial_instances))[0]
+        built = _built_blocks(monkeypatch)
+        compare_mechanisms(d, oracle_tokens(d), cfg)
+        assert simulate._SHARED.get() is None
+        before = len(built)
+        run_simulation(d, oracle_tokens(d), cfg)
+        assert len(built) == before + 2
+        assert all(rows.flags.writeable for _, rows in built[before:])
+
+    def test_nothing_is_kept_after_a_comparison_raises(self, monkeypatch):
+        # a magnitude-1000 spike: LA builds the blocks, then LA+Window's normalizer underflows
+        d = np.full(40, 10.0)
+        spike = SynthEnergySpec(mode="adversarial_spike", spike_magnitude=1000.0, spike_schedule=((5, 30),))
+        cfg = SimConfig(energy=spike, fixed_steps=200)
+        built = _built_blocks(monkeypatch)
+        with pytest.raises(FloatingPointError):
+            compare_mechanisms(d, oracle_tokens(d), cfg)
+        assert simulate._SHARED.get() is None
+        before = len(built)
+        assert before == 2
+        run_simulation(d, None, dataclasses.replace(cfg, opts=StepOptions(mechanism="la")))  # la does not underflow
+        assert [span for span, _ in built[before:]] == [(0, 128), (128, 200)]
 
 
 class TestTempoSweep:
