@@ -42,7 +42,6 @@ from .tokens import TransitionTokens, _checked, _floats, _typed_fields
 
 __all__ = [
     "EnergyParams",
-    "EnergyGrads",
     "AlignmentDistribution",
     "AlignmentMatrix",
     "StepOptions",
@@ -101,14 +100,6 @@ class EnergyParams:
         )
 
 
-@dataclass
-class EnergyGrads:
-    W: np.ndarray
-    V: np.ndarray
-    v: np.ndarray
-    b: np.ndarray
-
-
 def _energy_inputs(params: EnergyParams, query: np.ndarray, keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     query, keys = _floats("query", query), _floats("keys", keys)
     if keys.ndim != 2 or keys.shape[0] < 1:
@@ -130,8 +121,10 @@ def _content(params: EnergyParams, query: np.ndarray, projected_keys: np.ndarray
 
 def content_energies_backward(
     params: EnergyParams, query: np.ndarray, keys: np.ndarray, upstream_grad: np.ndarray
-) -> EnergyGrads:
-    """Analytic gradients of sum(upstream_grad * e) w.r.t. W, V, v, b."""
+) -> EnergyParams:
+    """Analytic gradients of sum(upstream_grad * e) w.r.t. W, V, v, b, as
+    an ``EnergyParams`` (so a gradient that overflows is rejected as
+    ``non-finite energy parameter``)."""
     query, keys = _energy_inputs(params, query, keys)
     de = _floats("upstream gradient", upstream_grad)
     if de.shape != (keys.shape[0],):
@@ -140,7 +133,7 @@ def content_energies_backward(
     dv = a.T @ de
     dz = np.outer(de, params.v) * (1.0 - a * a)  # (N, attn_dim)
     db = dz.sum(axis=0)
-    return EnergyGrads(W=np.outer(db, query), V=dz.T @ keys, v=dv, b=db)
+    return EnergyParams(W=np.outer(db, query), V=dz.T @ keys, v=dv, b=db)
 
 
 def normalize_energies(e: np.ndarray) -> np.ndarray:

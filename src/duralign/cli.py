@@ -4,7 +4,11 @@ Subcommands: parse, tokens, simulate, sweep, gradcheck, train-encoder.
 Every command is deterministic given its full flag set (including
 --seed), and every flag's default is the library's own.  Exit codes:
 0 success, 1 experiment-level failure (an underflowed alignment
-included), 2 usage, score or I/O error.
+included), 2 usage or I/O error and every input the library rejects
+(a ValueError, ``ScoreError`` included): a malformed score, lexicon or
+parameter file, and a flag value the library cannot serve.  ``main``
+alone maps an error to its exit code and prints it as one ``error:``
+line.
 """
 
 from __future__ import annotations
@@ -21,7 +25,6 @@ from .attention import CONVENTIONS, MECHANISMS, WINDOW_SHAPES, StepOptions, _csv
 from .fileio import atomic_write_bytes, atomic_write_text
 from .musicxml import parse_musicxml
 from .score import (
-    ScoreError,
     expand_to_phonemes,
     parse_lexicon,
     parse_score_native,
@@ -52,8 +55,8 @@ class CliError(Exception):
 
 
 @contextmanager
-def _usage_errors(prefix: str = ""):
-    """Report a library's rejection of its input (a ValueError) as a CliError."""
+def _usage_errors(prefix: str):
+    """Prefix a library's rejection of a file's text (a ValueError) with the file's path."""
     try:
         yield
     except ValueError as exc:
@@ -106,22 +109,21 @@ def _add_sim_args(p: argparse.ArgumentParser):
 
 
 def _sim_config(args) -> SimConfig:
-    with _usage_errors():
-        opts = StepOptions(
-            mechanism=args.mechanism,
-            filter_enabled=args.filter_enabled,
-            window_width=args.window_width,
-            window_shape=args.window_shape,
-            convention=args.convention,
-        )
-        energy = SynthEnergySpec(mode=args.energy, noise_sigma=args.noise_sigma, sharpness=args.sharpness)
-        return SimConfig(
-            opts=opts,
-            energy=energy,
-            seed=args.seed,
-            max_steps=args.max_steps,
-            fixed_steps=args.fixed_steps,
-        )
+    opts = StepOptions(
+        mechanism=args.mechanism,
+        filter_enabled=args.filter_enabled,
+        window_width=args.window_width,
+        window_shape=args.window_shape,
+        convention=args.convention,
+    )
+    energy = SynthEnergySpec(mode=args.energy, noise_sigma=args.noise_sigma, sharpness=args.sharpness)
+    return SimConfig(
+        opts=opts,
+        energy=energy,
+        seed=args.seed,
+        max_steps=args.max_steps,
+        fixed_steps=args.fixed_steps,
+    )
 
 
 def cmd_parse(args) -> int:
@@ -135,8 +137,7 @@ def cmd_tokens(args) -> int:
     lexicon = _load_lexicon(args.lexicon)
     seq = expand_to_phonemes(score, lexicon)
     if args.source == "oracle":
-        with _usage_errors():
-            toks = oracle_tokens(seq, args.q_min)
+        toks = oracle_tokens(seq, args.q_min)
     else:
         if args.params is None:
             raise CliError("--source encoder requires --params")
@@ -157,8 +158,7 @@ def cmd_simulate(args) -> int:
     lexicon = _load_lexicon(args.lexicon)
     seq = expand_to_phonemes(score, lexicon)
     cfg = _sim_config(args)
-    with _usage_errors():
-        toks = oracle_tokens(seq, args.q_min)
+    toks = oracle_tokens(seq, args.q_min)
     result = run_simulation(seq, toks, cfg)
 
     out = Path(args.out)
@@ -183,8 +183,7 @@ def cmd_sweep(args) -> int:
     if not tempos:
         raise CliError("empty --tempos list")
     cfg = _sim_config(args)
-    with _usage_errors():
-        sweep = evaluate.tempo_sweep(score, tempos, cfg, lexicon=lexicon, q_min=args.q_min)
+    sweep = evaluate.tempo_sweep(score, tempos, cfg, lexicon=lexicon, q_min=args.q_min)
     out = Path(args.out)
     atomic_write_text(out / "sweep.json", sweep.to_json())
     for tempo, result in zip(sweep.tempos, sweep.results):
@@ -206,8 +205,7 @@ def cmd_gradcheck(args) -> int:
     targets = list(checks) if args.which == "all" else [args.which]
     ok = True
     for target in targets:
-        with _usage_errors():
-            result = checks[target](args.seed, corrupt=args.corrupt)
+        result = checks[target](args.seed, corrupt=args.corrupt)
         status = "pass" if result.passed else "FAIL"
         print(f"{target}: {status} max_rel_err={result.max_rel_err:.3e} step={result.step:g}")
         ok = ok and result.passed
@@ -227,8 +225,7 @@ def _synthetic_duration_dataset(seed: int):
 
 
 def cmd_train_encoder(args) -> int:
-    with _usage_errors():
-        cfg = TrainConfig(learning_rate=args.lr, epochs=args.epochs, seed=args.seed)
+    cfg = TrainConfig(learning_rate=args.lr, epochs=args.epochs, seed=args.seed)
     feats, targets = _synthetic_duration_dataset(cfg.seed)
     try:
         params, history = train_encoder(feats, targets, cfg)
@@ -297,7 +294,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (CliError, ScoreError, OSError) as exc:
+    except (CliError, ValueError, OSError) as exc:  # a ValueError: the library rejected its input
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except FloatingPointError as exc:  # an alignment normalizer underflowed mid-run

@@ -38,9 +38,11 @@ def central_difference(fn, x: np.ndarray, step: float = FD_STEP) -> np.ndarray:
     *x.shape) stack to the vector of the rows' losses.  The stack holds
     O(x.size ** 2) floats, so this is meant for small checks.  A point
     holding a NaN, an infinity or an int beyond the double range is
-    rejected as ``non-finite point``.
+    rejected as ``non-finite point``, and an empty one as ``empty point``.
     """
     x = tokens._floats("point", x)
+    if x.size == 0:
+        raise ValueError("empty point")
     flat = x.ravel()
     k = np.arange(flat.size)
     points = np.tile(flat, (2 * flat.size, 1))
@@ -73,9 +75,10 @@ def _pack(*arrays: np.ndarray) -> np.ndarray:
 def _check_parameters(target: str, params, grads, loss, step: float, corrupt: bool) -> GradCheckResult:
     """Check ``grads`` against central differences of ``loss(params)``.
 
-    ``params`` and ``grads`` are dataclasses with the same fields; both
-    are flattened in field order, and each perturbed point is rebuilt
-    into a ``params`` of the same type (a scalar field as a float)."""
+    ``grads`` is of the type of ``params``: a backward pass returns its
+    gradients as a parameter set.  Both are flattened in field order,
+    and each perturbed point is rebuilt into that type (a scalar field
+    as a float)."""
     names = [f.name for f in fields(params)]
     shapes = [np.shape(getattr(params, name)) for name in names]
     bounds = np.cumsum([0] + [int(np.prod(shape)) for shape in shapes])

@@ -38,20 +38,14 @@ def _pitch_to_midi(pitch_el: ET.Element) -> int:
     octave = _number("octave", octave_el.text, int)
     alter_el = pitch_el.find("alter")
     alter = _number("alter", alter_el.text or "0", lambda s: int(float(s))) if alter_el is not None else 0
-    midi = 12 * (octave + 1) + _STEP_SEMITONES[step] + alter
-    if not 0 <= midi <= 127:
-        raise ScoreError(f"pitch out of MIDI range: {midi}")
-    return midi
+    return 12 * (octave + 1) + _STEP_SEMITONES[step] + alter
 
 
 def _find_tempo(el: ET.Element) -> float | None:
     for sound in el.iter("sound"):
         tempo = sound.get("tempo")
         if tempo is not None:
-            value = _number("sound tempo", tempo)
-            if value <= 0:
-                raise ScoreError("non-positive tempo directive")
-            return value
+            return _number("sound tempo", tempo)
     return None
 
 
@@ -133,10 +127,7 @@ def _parse_note(
     dur_el = el.find("duration")
     if dur_el is None:
         raise ScoreError(f"note {index} has no duration")
-    duration = _number("duration", dur_el.text)
-    if duration <= 0:
-        raise ScoreError(f"non-positive duration at note {index}")
-    beats = duration / divisions
+    beats = _number("duration", dur_el.text) / divisions
 
     # Per-note tempo override when a later directive changed the tempo.
     override = None
@@ -144,28 +135,17 @@ def _parse_note(
         override = current_tempo
 
     if el.find("rest") is not None:
-        return NoteEvent(
-            syllable="",
-            phonemes=(SIL_PHONEME,),
-            pitch=REST,
-            duration_beats=beats,
-            tempo_bpm=override,
-        )
-
-    pitch_el = el.find("pitch")
-    if pitch_el is None:
-        raise ScoreError(f"note {index} has neither pitch nor rest")
-    midi = _pitch_to_midi(pitch_el)
-
-    lyric_el = el.find("lyric/text")
-    if lyric_el is None or not (lyric_el.text or "").strip():
-        raise ScoreError(f"pitched note {index} has no lyric text")
-    syllable = lyric_el.text.strip()
-
-    return NoteEvent(
-        syllable=syllable,
-        phonemes=(),
-        pitch=midi,
-        duration_beats=beats,
-        tempo_bpm=override,
-    )
+        syllable, phonemes, pitch = "", (SIL_PHONEME,), REST
+    else:
+        pitch_el = el.find("pitch")
+        if pitch_el is None:
+            raise ScoreError(f"note {index} has neither pitch nor rest")
+        pitch = _pitch_to_midi(pitch_el)
+        lyric_el = el.find("lyric/text")
+        if lyric_el is None or not (lyric_el.text or "").strip():
+            raise ScoreError(f"pitched note {index} has no lyric text")
+        syllable, phonemes = lyric_el.text.strip(), ()
+    try:
+        return NoteEvent(syllable, phonemes, pitch, duration_beats=beats, tempo_bpm=override)
+    except ScoreError as exc:
+        raise ScoreError(f"{exc} at note {index}") from None

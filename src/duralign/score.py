@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
 import sys
 from dataclasses import dataclass, replace
 
@@ -40,11 +41,18 @@ class ScoreError(ValueError):
     """Malformed score document or score that violates an invariant."""
 
 
-def _finite(value) -> bool:
-    """Whether a number lies within the double range: False for a NaN, an
-    infinity or an int beyond the largest double, which ``math.isfinite``
-    would meet with an OverflowError."""
-    return -sys.float_info.max <= value <= sys.float_info.max
+def _positive_number(name: str, noun: str, value) -> float:
+    """The one rule of a duration or tempo: a real number that is not a
+    bool, finite and above zero, returned as a float.  The range test
+    also rejects an int beyond the largest double, which ``float`` would
+    meet with an OverflowError."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise ScoreError(f"{name} is not a number")
+    if not -sys.float_info.max <= value <= sys.float_info.max:
+        raise ScoreError(f"non-finite {name}")
+    if value <= 0:
+        raise ScoreError(f"non-positive {noun}")
+    return float(value)
 
 
 @dataclass(frozen=True)
@@ -53,7 +61,9 @@ class NoteEvent:
 
     ``phonemes`` may be empty, in which case the syllable must be
     resolvable through the lexicon at expansion time.  ``pitch`` is a
-    MIDI note number, or None for a rest.
+    MIDI note number (an int in 0-127), or None for a rest.  The readers
+    leave every rule of a note to this type and add the note's index to
+    its message.
     """
 
     syllable: str
@@ -63,10 +73,11 @@ class NoteEvent:
     tempo_bpm: float | None = None  # per-note override; None = score default
 
     def __post_init__(self):
-        for name in ("duration_beats", "tempo_bpm"):
-            value = getattr(self, name)
-            if value is not None and not _finite(value):
-                raise ScoreError(f"non-finite {name}")
+        if self.pitch is not None and (type(self.pitch) is not int or not 0 <= self.pitch <= 127):
+            raise ScoreError(f"invalid pitch {self.pitch!r}")
+        object.__setattr__(self, "duration_beats", _positive_number("duration_beats", "duration", self.duration_beats))
+        if self.tempo_bpm is not None:
+            object.__setattr__(self, "tempo_bpm", _positive_number("tempo_bpm", "tempo", self.tempo_bpm))
 
     def effective_tempo(self, default_bpm: float) -> float:
         return self.tempo_bpm if self.tempo_bpm is not None else default_bpm
@@ -79,10 +90,8 @@ class Score:
     title: str | None = None
 
     def __post_init__(self):
-        if not _finite(self.default_tempo_bpm):
-            raise ScoreError("non-finite default_tempo_bpm")
-        if self.default_tempo_bpm <= 0:
-            raise ScoreError("non-positive default tempo")
+        tempo = _positive_number("default_tempo_bpm", "default tempo", self.default_tempo_bpm)
+        object.__setattr__(self, "default_tempo_bpm", tempo)
         if not self.notes:
             raise ScoreError("score has no notes")
 
@@ -138,14 +147,6 @@ def _require(obj: dict, key: str, where: str):
     return obj[key]
 
 
-def _positive(value, message: str) -> float:
-    """A JSON number above zero, as a float (an int beyond the largest
-    double as an infinity, which the score rejects); booleans are not numbers."""
-    if isinstance(value, bool) or not isinstance(value, (int, float)) or value <= 0:
-        raise ScoreError(message)
-    return math.inf if value > sys.float_info.max else float(value)
-
-
 def parse_score_native(text: str) -> Score:
     """Parse the native JSON score format.
 
@@ -159,7 +160,7 @@ def parse_score_native(text: str) -> Score:
         raise ScoreError(f"malformed JSON: {exc}") from exc
     if not isinstance(doc, dict):
         raise ScoreError("top level must be an object")
-    tempo = _positive(_require(doc, "tempo_bpm", "score"), "non-positive tempo_bpm")
+    tempo = _require(doc, "tempo_bpm", "score")
     raw_notes = _require(doc, "notes", "score")
     if not isinstance(raw_notes, list) or not raw_notes:
         raise ScoreError("'notes' must be a non-empty list")
@@ -169,24 +170,17 @@ def parse_score_native(text: str) -> Score:
             raise ScoreError(f"note {i} is not an object")
         syllable = _require(raw, "syllable", f"note {i}")
         pitch = _require(raw, "midi_pitch", f"note {i}")
-        if pitch is not None:
-            if type(pitch) is not int or not 0 <= pitch <= 127:
-                raise ScoreError(f"invalid midi_pitch at note {i}")
-        beats = _positive(_require(raw, "duration_beats", f"note {i}"), f"non-positive duration at note {i}")
-        override = raw.get("tempo_bpm")
-        if override is not None:
-            override = _positive(override, f"non-positive tempo at note {i}")
+        beats = _require(raw, "duration_beats", f"note {i}")
         phonemes = tuple(raw.get("phonemes") or ())
         if pitch is None and not phonemes:
             phonemes = (SIL_PHONEME,)
         try:
             notes.append(
-                NoteEvent(syllable=str(syllable), phonemes=phonemes, pitch=pitch, duration_beats=beats, tempo_bpm=override)
+                NoteEvent(str(syllable), phonemes, pitch, duration_beats=beats, tempo_bpm=raw.get("tempo_bpm"))
             )
         except ScoreError as exc:
             raise ScoreError(f"{exc} at note {i}") from None
-    title = doc.get("title")
-    return Score(default_tempo_bpm=tempo, notes=tuple(notes), title=title)
+    return Score(default_tempo_bpm=tempo, notes=tuple(notes), title=doc.get("title"))
 
 
 def _num(x: float):

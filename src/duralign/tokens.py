@@ -25,7 +25,6 @@ __all__ = [
     "TransitionTokens",
     "DurationFeatures",
     "DurationEncoderParams",
-    "EncoderGrads",
     "TrainConfig",
     "TrainingDiverged",
     "oracle_tokens",
@@ -201,14 +200,6 @@ class DurationEncoderParams:
             _floats("encoder parameter", value)
 
 
-@dataclass
-class EncoderGrads:
-    w1: np.ndarray
-    b1: np.ndarray
-    w2: np.ndarray
-    b2: float
-
-
 def _sigmoid(x: np.ndarray) -> np.ndarray:
     out = np.empty_like(x)
     pos = x >= 0
@@ -243,9 +234,10 @@ def encoder_forward(params: DurationEncoderParams, feats: DurationFeatures) -> T
 
 def encoder_backward(
     params: DurationEncoderParams, feats: DurationFeatures, upstream_grad: np.ndarray
-) -> EncoderGrads:
+) -> DurationEncoderParams:
     """Analytic gradients of sum(upstream_grad * q) w.r.t. all parameters,
-    for finite parameters and a finite upstream gradient."""
+    as a ``DurationEncoderParams``, for finite parameters and a finite
+    upstream gradient."""
     _check_encoder(params, feats)
     upstream = _floats("upstream gradient", upstream_grad)
     if upstream.shape != (feats.rows.shape[0],):
@@ -255,7 +247,7 @@ def encoder_backward(
 
 def _encoder_grads(
     params: DurationEncoderParams, x: np.ndarray, h: np.ndarray, y: np.ndarray, upstream: np.ndarray
-) -> EncoderGrads:
+) -> DurationEncoderParams:
     """The reverse pass of ``encoder_backward`` from its forward parts."""
     dy = upstream * y * (1.0 - y)  # (N,)
     db2 = float(dy.sum())
@@ -264,7 +256,7 @@ def _encoder_grads(
     dpre = dh * (1.0 - h * h)
     dw1 = dpre.T @ x
     db1 = dpre.sum(axis=0)
-    return EncoderGrads(w1=dw1, b1=db1, w2=dw2, b2=db2)
+    return DurationEncoderParams(w1=dw1, b1=db1, w2=dw2, b2=db2)
 
 
 @dataclass(frozen=True)

@@ -92,6 +92,13 @@ class TestContentEnergies:
         with pytest.raises(ValueError, match="non-finite upstream gradient"):
             content_energies_backward(params, np.ones(2), np.ones((5, 4)), np.array([0.0, 1.0, bad, 0.0, 1.0]))
 
+    def test_backward_returns_params_and_rejects_an_overflowing_gradient(self):
+        params = EnergyParams.init(0, query_dim=2, key_dim=4, attn_dim=3)
+        grads = content_energies_backward(params, np.ones(2), np.ones((5, 4)), np.ones(5))
+        assert isinstance(grads, EnergyParams)
+        with np.errstate(over="ignore"), pytest.raises(ValueError, match="^non-finite energy parameter$"):
+            content_energies_backward(params, np.ones(2), np.ones((5, 4)), np.full(5, 1e308))
+
 
 class TestNormalize:
     def test_uniform(self):

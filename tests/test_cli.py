@@ -1,10 +1,11 @@
 import json
 
+import numpy as np
 import pytest
 
 from duralign.cli import _sim_config, build_parser, main
 from duralign.simulate import SimConfig
-from duralign.tokens import Q_MIN_DEFAULT, TrainConfig, params_from_text
+from duralign.tokens import Q_MIN_DEFAULT, DurationEncoderParams, TrainConfig, params_from_text, params_to_text
 
 TEN = "tests/fixtures/ten_notes.json"
 
@@ -273,6 +274,35 @@ def test_out_of_range_flag_is_usage_error(capsys, tmp_path, argv, message):
     code, stdout, err = run(capsys, *argv)
     assert (code, stdout, err) == (2, "", f"error: {message}\n")
     assert not out.exists()
+
+
+def _params_file(tmp_path, w1) -> str:
+    """An encoder parameter file of four hidden units with first layer ``w1``."""
+    path = tmp_path / "params.txt"
+    path.write_text(params_to_text(DurationEncoderParams(w1, np.zeros(4), np.zeros(4), 0.0)))
+    return str(path)
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (lambda tmp: ["tokens", TEN, "--source", "encoder", "--params", _params_file(tmp, np.zeros((4, 2)))],
+         "parameter/feature dimension mismatch"),
+        (lambda tmp: ["tokens", TEN, "--source", "encoder", "--params", _params_file(tmp, np.full((4, 3), np.nan))],
+         "non-finite encoder parameter"),
+        (lambda tmp: ["simulate", TEN, "--out", str(tmp / "out"), "--energy", "noisy_diagonal", "--noise-sigma", "1e308",
+                      "--seed", "3"],
+         "non-finite energy"),
+    ],
+    ids=["mis-shaped-params", "nan-params", "overflowing-noise"],
+)
+def test_library_rejection_is_one_line_usage_error(capsys, tmp_path, argv, message):
+    """A value the library rejects past the readers (parameters that do
+    not fit the features, noise that overflows the energies) is one error
+    line and exit 2, not a traceback."""
+    code, out, err = run(capsys, *argv(tmp_path))
+    assert (code, out, err) == (2, "", f"error: {message}\n")
+    assert not (tmp_path / "out").exists()
 
 
 @pytest.mark.parametrize("command", ["simulate", "sweep"])

@@ -5,14 +5,17 @@ Each row is (entry point, argument, bad value, expected message).  An
 array argument gets its first number replaced by NaN, an infinity or
 an int beyond the largest double, or is replaced by an empty list;
 frame targets also get 0 and -3.  Each step function also gets options
-that name another mechanism, and the score types built directly get a
-non-finite number.  ``QueryGenerator.energies`` is left out:
+that name another mechanism.  A duration or tempo, read by the native
+reader or given to the score types built directly, gets a non-finite
+number, an empty list, a bool, a string, 0 and -2.0, and a pitch gets a
+number outside 0-127, a bool and a string.  ``QueryGenerator.energies`` is left out:
 the simulator's step loop calls it on rows it made itself, so it checks
 nothing per step.
 """
 
 import dataclasses
 import json
+import re
 
 import numpy as np
 import pytest
@@ -126,7 +129,7 @@ ARRAY_ARGUMENTS = [
     ("tempo_sweep", "tempos", lambda x: tempo_sweep(parse_score_native(json.dumps(SCORE)), x, CFG), [120.0, 60.0],
      "non-finite default_tempo_bpm", "empty tempo list"),
     ("central_difference", "x", lambda x: central_difference(lambda p: p.sum(axis=1), x), [2.0, 1.0],
-     "non-finite point", None),  # an empty point has no stack to reshape; not part of the contract
+     "non-finite point", "empty point"),
 ]
 
 # (entry point, argument, call) of every name that takes frame targets
@@ -146,20 +149,41 @@ MECHANISMS = [
     ("la_step", lambda opts: la_step(E, None, opts), "gdca"),  # the first step, with no window to center
 ]
 
-# native score fields and what the score says of each bad value
+
+def number_values(name, noun):
+    """(value, JSON text, message) of each bad duration or tempo, given
+    the score types' name for the field and what a non-positive one is called."""
+    return [
+        (np.nan, "NaN", f"non-finite {name}"),
+        (np.inf, "Infinity", f"non-finite {name}"),
+        (-np.inf, "-Infinity", f"non-finite {name}"),
+        (HUGE, str(HUGE), f"non-finite {name}"),
+        (EMPTY, "[]", f"{name} is not a number"),
+        (True, "true", f"{name} is not a number"),
+        ("2", '"2"', f"{name} is not a number"),
+        (0, "0", f"non-positive {noun}"),
+        (-2.0, "-2.0", f"non-positive {noun}"),
+    ]
+
+
+PITCH_VALUES = [(bad, json.dumps(bad), f"invalid pitch {re.escape(repr(bad))}") for bad in (128, -1, True, "60")]
+
+# native score fields: (field, document with the field's value, bad values, what the reader adds to the message)
 SCORE_FIELDS = [
-    ("tempo_bpm", lambda v: {**SCORE, "tempo_bpm": v},
-     "non-finite default_tempo_bpm", "non-positive tempo_bpm"),
+    ("tempo_bpm", lambda v: {**SCORE, "tempo_bpm": v}, number_values("default_tempo_bpm", "default tempo"), ""),
     ("duration_beats", lambda v: {**SCORE, "notes": [{**SCORE["notes"][0], "duration_beats": v}]},
-     "non-finite duration_beats at note 0", "non-positive duration at note 0"),
+     number_values("duration_beats", "duration"), " at note 0"),
+    ("midi_pitch", lambda v: {**SCORE, "notes": [{**SCORE["notes"][0], "midi_pitch": v}]}, PITCH_VALUES, " at note 0"),
 ]
 
 
-# score types built directly: (type, field, construct from the field's value)
+# score types built directly: (type, field, construct from the field's value, bad values)
 SCORE_TYPES = [
-    ("NoteEvent", "duration_beats", lambda v: NoteEvent("la", ("l", "a"), 60, v)),
-    ("NoteEvent", "tempo_bpm", lambda v: NoteEvent("la", ("l", "a"), 60, 1.0, v)),
-    ("Score", "default_tempo_bpm", lambda v: Score(default_tempo_bpm=v, notes=(NoteEvent("la", ("l", "a"), 60, 1.0),))),
+    ("NoteEvent", "duration_beats", lambda v: NoteEvent("la", ("l", "a"), 60, v), number_values("duration_beats", "duration")),
+    ("NoteEvent", "tempo_bpm", lambda v: NoteEvent("la", ("l", "a"), 60, 1.0, v), number_values("tempo_bpm", "tempo")),
+    ("NoteEvent", "pitch", lambda v: NoteEvent("la", ("l", "a"), v, 1.0), PITCH_VALUES),
+    ("Score", "default_tempo_bpm", lambda v: Score(default_tempo_bpm=v, notes=(NoteEvent("la", ("l", "a"), 60, 1.0),)),
+     number_values("default_tempo_bpm", "default tempo")),
 ]
 
 
@@ -186,16 +210,15 @@ def contract_rows():
     for entry, call, other in MECHANISMS:
         yield entry, "opts", other, lambda call=call, opts=StepOptions(mechanism=other): call(opts), \
             f"^{entry} got opts for mechanism '{other}'$"
-    for field, doc, non_finite, non_positive in SCORE_FIELDS:
-        for bad, text, message in [(np.nan, "NaN", non_finite), (np.inf, "Infinity", non_finite),
-                                   (-np.inf, "-Infinity", non_positive), (HUGE, str(HUGE), non_finite),
-                                   (EMPTY, "[]", non_positive)]:
+    for field, doc, values, where in SCORE_FIELDS:
+        for bad, text, message in values:
             document = json.dumps(doc("@")).replace('"@"', text)
             yield "parse_score_native", field, bad, lambda document=document: parse_score_native(document), \
-                f"^{message}$"
-    for entry, field, build in SCORE_TYPES:
-        for bad in (np.nan, np.inf, -np.inf, HUGE):
-            yield entry, field, bad, lambda build=build, bad=bad: build(bad), f"^non-finite {field}$"
+                f"^{message}{where}$"
+    for entry, field, build, values in SCORE_TYPES:
+        for bad, _, message in values:
+            value = [] if bad is EMPTY else bad
+            yield entry, field, bad, lambda build=build, value=value: build(value), f"^{message}$"
 
 
 ROWS_OF_CONTRACT = list(contract_rows())

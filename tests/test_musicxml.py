@@ -1,3 +1,4 @@
+import json
 import re
 
 import pytest
@@ -62,6 +63,26 @@ def test_word_for_a_number_names_the_element(fixtures_dir, old, new, message):
     assert xml.count(old) == 1
     with pytest.raises(ScoreError, match=f"^{re.escape(message)}$"):
         parse_musicxml(xml.replace(old, new))
+
+
+@pytest.mark.parametrize(
+    "old, new, field, value, message",
+    [
+        ("<step>C</step><octave>4</octave>", "<step>G</step><alter>1</alter><octave>9</octave>", "midi_pitch", 128,
+         "invalid pitch 128 at note 0"),
+        ("<duration>1</duration>", "<duration>0</duration>", "duration_beats", 0, "non-positive duration at note 0"),
+        ("<duration>1</duration>", "<duration>-2</duration>", "duration_beats", -2, "non-positive duration at note 0"),
+    ],
+)
+def test_both_readers_reject_a_note_with_the_same_text(fixtures_dir, old, new, field, value, message):
+    """Each reader leaves the note's rules to ``NoteEvent`` and adds the note's index."""
+    xml = (fixtures_dir / "musicxml" / "single_note.musicxml").read_text()
+    assert xml.count(old) == 1
+    native = {"tempo_bpm": 60, "notes": [{"syllable": "a", "midi_pitch": 60, "duration_beats": 1, field: value}]}
+    with pytest.raises(ScoreError, match=f"^{message}$"):
+        parse_musicxml(xml.replace(old, new))
+    with pytest.raises(ScoreError, match=f"^{message}$"):
+        parse_score_native(json.dumps(native))
 
 
 def test_rest_becomes_sil(fixtures_dir):

@@ -89,13 +89,16 @@ class TestParseNative:
     @pytest.mark.parametrize(
         "doc, message",
         [
-            ({"tempo_bpm": True, "notes": [{"syllable": "a", "midi_pitch": 60, "duration_beats": 1}]}, "non-positive tempo_bpm"),
-            ({"tempo_bpm": 120, "notes": [{"syllable": "a", "midi_pitch": 60, "duration_beats": True}]}, "non-positive duration at note 0"),
+            ({"tempo_bpm": True, "notes": [{"syllable": "a", "midi_pitch": 60, "duration_beats": 1}]}, "default_tempo_bpm is not a number"),
+            (
+                {"tempo_bpm": 120, "notes": [{"syllable": "a", "midi_pitch": 60, "duration_beats": True}]},
+                "duration_beats is not a number at note 0",
+            ),
             (
                 {"tempo_bpm": 120, "notes": [{"syllable": "a", "midi_pitch": 60, "duration_beats": 1, "tempo_bpm": True}]},
-                "non-positive tempo at note 0",
+                "tempo_bpm is not a number at note 0",
             ),
-            ({"tempo_bpm": 120, "notes": [{"syllable": "a", "midi_pitch": True, "duration_beats": 1}]}, "invalid midi_pitch at note 0"),
+            ({"tempo_bpm": 120, "notes": [{"syllable": "a", "midi_pitch": True, "duration_beats": 1}]}, "invalid pitch True at note 0"),
         ],
     )
     def test_booleans_are_not_numbers(self, doc, message):

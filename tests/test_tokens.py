@@ -115,6 +115,7 @@ class TestEncoderBackward:
         feats = DurationFeatures(rows=np.array([[0.5, 120.0, 3.0], [1.0, 60.0, 4.0]]))
         g = encoder_backward(params, feats, np.zeros(2))
         assert np.all(g.w1 == 0) and np.all(g.b1 == 0) and np.all(g.w2 == 0) and g.b2 == 0.0
+        assert isinstance(g, DurationEncoderParams)
 
     def test_duplicated_rows_double_gradient(self):
         params = DurationEncoderParams.init(5, hidden=4)
