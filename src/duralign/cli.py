@@ -56,7 +56,7 @@ class CliError(Exception):
 
 @contextmanager
 def _usage_errors(prefix: str):
-    """Prefix a library's rejection of a file's text (a ValueError) with the file's path."""
+    """Prefix a library's rejection of a file's contents (a ValueError) with the file's path."""
     try:
         yield
     except ValueError as exc:
@@ -144,7 +144,7 @@ def cmd_tokens(args) -> int:
         text = _read_file(args.params)
         with _usage_errors(f"{args.params}: "):
             params = params_from_text(text)
-        toks = encoder_forward(params, duration_features(seq, score))
+            toks = encoder_forward(params, duration_features(seq, score))
     csv = tokens_to_csv(seq, toks)
     if args.out:
         atomic_write_text(args.out, csv)

@@ -201,12 +201,9 @@ class DurationEncoderParams:
 
 
 def _sigmoid(x: np.ndarray) -> np.ndarray:
-    out = np.empty_like(x)
-    pos = x >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    ex = np.exp(x[~pos])
-    out[~pos] = ex / (1.0 + ex)
-    return out
+    # 1/(1+exp(-x)) for x >= 0 and exp(x)/(1+exp(x)) below, neither of which overflows
+    e = np.exp(-np.abs(x))
+    return np.where(x >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
 
 
 def _forward_parts(params: DurationEncoderParams, rows: np.ndarray):
@@ -252,8 +249,7 @@ def _encoder_grads(
     dy = upstream * y * (1.0 - y)  # (N,)
     db2 = float(dy.sum())
     dw2 = h.T @ dy
-    dh = np.outer(dy, params.w2)
-    dpre = dh * (1.0 - h * h)
+    dpre = dy[:, None] * params.w2 * (1.0 - h * h)
     dw1 = dpre.T @ x
     db1 = dpre.sum(axis=0)
     return DurationEncoderParams(w1=dw1, b1=db1, w2=dw2, b2=db2)
@@ -295,25 +291,25 @@ def train_encoder(
         raise ValueError("target/feature length mismatch")
     params = DurationEncoderParams.init(cfg.seed, scale=0.2)
     rng = np.random.default_rng(cfg.seed)
+    lr = cfg.learning_rate
+    # the sums np.mean takes, without its wrappers: a batch's mean square, then the epoch's mean of those
+    batch_losses = np.empty(-(-n // cfg.batch_size))
     history: list[float] = []
     for epoch in range(cfg.epochs):
         order = rng.permutation(n)
-        batch_losses = []
-        for start in range(0, n, cfg.batch_size):
+        for b, start in enumerate(range(0, n, cfg.batch_size)):
             idx = order[start : start + cfg.batch_size]
             x, h, y = _forward_parts(params, feats.rows[idx])
             err = y - target[idx]
-            loss = float(np.mean(err * err))
-            if not np.isfinite(loss):
+            batch_losses[b] = loss = np.add.reduce(err * err) / idx.size
+            if not math.isfinite(loss):
                 raise TrainingDiverged(epoch)
-            batch_losses.append(loss)
             grads = _encoder_grads(params, x, h, y, 2.0 * err / idx.size)
-            lr = cfg.learning_rate
             params.w1 -= lr * grads.w1
             params.b1 -= lr * grads.b1
             params.w2 -= lr * grads.w2
             params.b2 -= lr * grads.b2
-        history.append(float(np.mean(batch_losses)))
+        history.append(float(np.add.reduce(batch_losses) / batch_losses.size))
     return params, history
 
 
@@ -357,10 +353,10 @@ def params_from_text(text: str) -> DurationEncoderParams:
     pos = 1
     arrays: dict[str, np.ndarray] = {}
     while pos < len(lines):
-        header = lines[pos].split()
-        if len(header) != 3:
+        name, *shape = lines[pos].split()
+        if len(shape) != 2 or not (shape[0].isdecimal() and shape[1].isdecimal()):
             raise ValueError(f"bad array header: '{lines[pos]}'")
-        name, rows, cols = header[0], int(header[1]), int(header[2])
+        rows, cols = int(shape[0]), int(shape[1])
         if pos + rows >= len(lines):
             raise ValueError(f"truncated array '{name}'")
         data = []
@@ -371,7 +367,7 @@ def params_from_text(text: str) -> DurationEncoderParams:
         arrays[name] = np.array(data)
         pos += 1 + rows
     try:
-        return DurationEncoderParams(
+        params = DurationEncoderParams(
             w1=arrays["w1"],
             b1=arrays["b1"].ravel(),
             w2=arrays["w2"].ravel(),
@@ -379,3 +375,6 @@ def params_from_text(text: str) -> DurationEncoderParams:
         )
     except KeyError as exc:
         raise ValueError(f"bad parameter file: missing {exc}") from exc
+    if lines[0].split() != ["hidden", str(params.hidden)] or not params.w1.shape[0] == params.w2.size == params.hidden:
+        raise ValueError(f"bad parameter file: '{lines[0]}' does not match the arrays' shapes")
+    return params

@@ -287,9 +287,9 @@ def _params_file(tmp_path, w1) -> str:
     "argv, message",
     [
         (lambda tmp: ["tokens", TEN, "--source", "encoder", "--params", _params_file(tmp, np.zeros((4, 2)))],
-         "parameter/feature dimension mismatch"),
+         "{tmp}/params.txt: parameter/feature dimension mismatch"),
         (lambda tmp: ["tokens", TEN, "--source", "encoder", "--params", _params_file(tmp, np.full((4, 3), np.nan))],
-         "non-finite encoder parameter"),
+         "{tmp}/params.txt: non-finite encoder parameter"),
         (lambda tmp: ["simulate", TEN, "--out", str(tmp / "out"), "--energy", "noisy_diagonal", "--noise-sigma", "1e308",
                       "--seed", "3"],
          "non-finite energy"),
@@ -298,10 +298,10 @@ def _params_file(tmp_path, w1) -> str:
 )
 def test_library_rejection_is_one_line_usage_error(capsys, tmp_path, argv, message):
     """A value the library rejects past the readers (parameters that do
-    not fit the features, noise that overflows the energies) is one error
-    line and exit 2, not a traceback."""
+    not fit the features, under the parameter file's path; noise that
+    overflows the energies) is one error line and exit 2, not a traceback."""
     code, out, err = run(capsys, *argv(tmp_path))
-    assert (code, out, err) == (2, "", f"error: {message}\n")
+    assert (code, out, err) == (2, "", f"error: {message.format(tmp=tmp_path)}\n")
     assert not (tmp_path / "out").exists()
 
 

@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import numpy as np
@@ -217,11 +218,41 @@ class TestTraining:
         for name in ("w1", "b1", "w2", "b2"):
             assert np.array_equal(getattr(params, name), getattr(ref_params, name))
 
+    # sha256 of the history (as float64) and then w1, b1, w2, b2 from train_encoder on
+    # dataset(), recorded with numpy 2.4.6 on x86-64 before the epoch loop dropped
+    # np.mean and the masked sigmoid: one batch per epoch, then 12 batches per epoch.
+    TRAINED_DIGESTS = [
+        (128, "3b92b0a2d897a19efc7379f6db7d7ad6c72441d6a1a2cc54db70d6384bd09bf3"),
+        (7, "ee8ed0be9ef2a43e9f48014a3d269055a9039187c897e40ccd45914736ea1ee9"),
+    ]
+
+    @pytest.mark.parametrize("batch_size, digest", TRAINED_DIGESTS)
+    def test_trained_bits_are_pinned(self, batch_size, digest):
+        feats, targets = self.dataset()
+        params, history = train_encoder(feats, targets, TrainConfig(batch_size=batch_size))
+        h = hashlib.sha256(np.array(history, dtype=np.float64).tobytes())
+        for value in (params.w1, params.b1, params.w2, params.b2):
+            h.update(np.ascontiguousarray(value, dtype=np.float64).tobytes())
+        assert h.hexdigest() == digest
+
     def test_zero_lr_keeps_history_constant(self):
         feats, targets = self.dataset(n=16)
         _, history = train_encoder(feats, targets, TrainConfig(learning_rate=0.0, epochs=5, batch_size=128))
         # permutation reorders the mean's summands, so allow fp-level slack
         assert history == pytest.approx([history[0]] * 5, rel=1e-12)
+
+
+def test_sigmoid_equals_the_two_branch_form():
+    x = np.concatenate([
+        [np.inf, -np.inf, 0.0, -0.0, 745.0, -745.0, 1e-300, -1e-300, np.nan],
+        np.random.default_rng(0).normal(size=10_000) * 50.0,
+    ])
+    expected = np.empty_like(x)
+    pos = x >= 0
+    expected[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
+    ex = np.exp(x[~pos])
+    expected[~pos] = ex / (1.0 + ex)
+    assert np.array_equal(tokens_mod._sigmoid(x), expected, equal_nan=True)
 
 
 class TestSerialization:
@@ -239,6 +270,23 @@ class TestSerialization:
     def test_malformed_rejected(self, text):
         with pytest.raises(ValueError):
             params_from_text(text)
+
+    @pytest.mark.parametrize("header", ["w1 4 x", "w1 -1 3", "w1 4", "w1 4 3 1"])
+    def test_bad_array_header_is_named(self, header):
+        text = params_to_text(DurationEncoderParams.init(0, hidden=4)).replace("w1 4 3", header)
+        with pytest.raises(ValueError, match=f"^bad array header: '{header}'$"):
+            params_from_text(text)
+
+    @pytest.mark.parametrize("hidden", ["9", "3", "x", "4 4"])
+    def test_hidden_header_must_match_the_arrays(self, hidden):
+        text = params_to_text(DurationEncoderParams.init(0, hidden=4)).replace("hidden 4", f"hidden {hidden}")
+        with pytest.raises(ValueError, match=f"^bad parameter file: 'hidden {hidden}' does not match the arrays' shapes$"):
+            params_from_text(text)
+
+    def test_arrays_of_different_hidden_sizes_are_rejected(self):
+        params = DurationEncoderParams(np.zeros((4, 3)), np.zeros(4), np.zeros(5), 0.0)
+        with pytest.raises(ValueError, match="does not match the arrays' shapes"):
+            params_from_text(params_to_text(params))
 
     def test_csv_layout(self):
         score = Score(default_tempo_bpm=60, notes=(NoteEvent("ni", ("n", "i"), 62, 1.0),))

@@ -133,10 +133,13 @@ def main(argv=None) -> int:
     parser.add_argument("--seeds", required=True, type=parse_seeds, help="e.g. 1701-1710")
     parser.add_argument("--seconds", type=float, help="run length (default: BENCHMARK.json's run_seconds)")
     parser.add_argument("--workloads", nargs="*", help="default: every workload in BENCHMARK.json")
-    parser.add_argument("--workdir", type=Path, help="where revisions are exported (default: a temporary directory)")
+    parser.add_argument("--workdir", type=Path,
+                        help="where revisions are exported, made if missing (default: a temporary directory)")
     parser.add_argument("--out", required=True, type=Path)
     args = parser.parse_args(argv)
 
+    if args.workdir:
+        args.workdir.mkdir(parents=True, exist_ok=True)
     with tempfile.TemporaryDirectory(prefix="paired_bench_", dir=args.workdir) as tmp:  # exported revisions
         workdir = Path(tmp)
         parent_dir, parent = checkout(args.parent, workdir, "parent")
