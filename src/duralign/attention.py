@@ -17,9 +17,8 @@ The kernel is built once per run: weights, scratch buffers and the
 window at every offset, so a step's mask is a slice and a step writes
 its row in place.  ``lattice_forward``, ``simulate.run_simulation`` and
 ``gdca_step``/``fa_step``/``la_step`` all step through it; those three
-check their input and reject options that name another mechanism.  la
-without the filter has no recursion, so the simulator hands it a whole
-block of energy rows, as columns, in one call.  With q = 0.5
+check their input and reject options that name another mechanism.  The
+simulator steps la a block at a time (``_Kernel.la_block``).  With q = 0.5
 everywhere the gdca weights are exactly half the fa weights (including
 the absorbing boundary), so the two mechanisms agree bit-for-bit after
 normalization.
@@ -158,6 +157,13 @@ def _finite_energy(e: np.ndarray) -> np.ndarray:
 # Alignment containers
 
 
+def _unchecked(cls, fields: dict):
+    """A dataclass ``cls`` holding ``fields`` that the library built or already checked, without its entry checks."""
+    made = object.__new__(cls)
+    made.__dict__.update(fields)
+    return made
+
+
 @dataclass(frozen=True)
 class AlignmentDistribution:
     p: np.ndarray
@@ -255,12 +261,8 @@ class _Kernel:
     """One run's step kernel, for rows of ``shape``: (N,), or (N, B)
     columns for a batch, with raw tokens ``q`` laid out the same way.
     Its constructor is the one place that dispatches on the mechanism,
-    which it reads from ``opts``.
-
-    A ``whole`` kernel (la without the filter: no recursion) also takes
-    T steps at once as the (N, T) columns of a transposed (T, N) energy
-    block; numpy then sums each contiguous row pairwise, as it sums one
-    step's, so the rows are bit for bit those of T single steps."""
+    which it reads from ``opts``.  An la kernel (``stay`` is None) also
+    steps a (T, N) block of rows at once through ``la_block``."""
 
     def __init__(self, q: np.ndarray | None, opts: StepOptions, shape: tuple):
         n = shape[0]
@@ -279,7 +281,6 @@ class _Kernel:
             self.head = np.empty((n - 1,) + shape[1:])
         self.table = _window_table(n, opts) if opts.filter_enabled else None
         self.lo, self.hi = n - 1, 2 * n - 1  # center c's mask is table[lo - c : hi - c]
-        self.whole = self.stay is None and self.table is None  # la without the filter: no recursion
 
     def step(self, p: np.ndarray, e: np.ndarray, out: np.ndarray):
         """One step from ``p`` with energies ``e`` into ``out`` (not ``p``;
@@ -303,6 +304,21 @@ class _Kernel:
             raise FloatingPointError("alignment normalizer underflowed; inconsistent filter/energy combination")
         divide(b, s, out)
         return s
+
+    def la_block(self, p: np.ndarray, e: np.ndarray, out: np.ndarray) -> bool:
+        """T la steps after row ``p`` into ``out``, bit for bit ``step``'s rows, and True;
+        False (step the block row by row) if a normalizer is below 1e-300 or,
+        with the filter, a row's argmax is not the centre that masked the next row."""
+        b = e
+        if self.table is not None:  # walk the centres: each one the argmax of the masked row before it
+            b, c, centres = out, p.argmax(), np.empty(len(e), dtype=np.intp)
+            for i, (row, o) in enumerate(zip(e, out)):
+                c = centres[i] = multiply(self.table[self.lo - c : self.hi - c], row, o).argmax()
+        s = add.reduce(b, axis=1)
+        if (s < 1e-300).any():
+            return False
+        divide(b, s[:, None], out)
+        return self.table is None or bool((out.argmax(axis=1) == centres).all())
 
 
 def _window_table(n: int, opts: StepOptions) -> np.ndarray:

@@ -165,7 +165,7 @@ def cmd_simulate(args) -> int:
     atomic_write_text(out / "report.json", result.to_json())
     atomic_write_bytes(out / "alignment.csv", _csv_chunks(result.alignment))
     atomic_write_bytes(out / "alignment.pgm", alignment_to_pgm(result.alignment))
-    mono = evaluate._run_monotonicity(result.alignment)
+    mono = evaluate._run_monotonicity(result)
     print(f"stop_step={result.stop_step} stopped_by={result.stopped_by} monotonicity={mono:.3f}")
     if result.stopped_by == "max_steps":
         print("simulation failed: stop rule never fired", file=sys.stderr)

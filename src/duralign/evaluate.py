@@ -10,11 +10,11 @@ and token profiling.
 from __future__ import annotations
 
 import json
-from dataclasses import asdict, dataclass, replace
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .attention import AlignmentMatrix
+from .attention import AlignmentMatrix, StepOptions, _unchecked
 from .score import PhonemeSequence, Score, expand_to_phonemes, with_uniform_tempo
 from .simulate import SimConfig, SimResult, SynthEnergySpec, _SHARED, phoneme_at_frame, run_simulation
 from .tokens import Q_MIN_DEFAULT, TransitionTokens, _durations, _floats, oracle_tokens
@@ -49,18 +49,22 @@ def monotonicity_score(alignment: AlignmentMatrix) -> float:
     """Fraction of consecutive step pairs with non-decreasing argmax."""
     if alignment.n_steps < 2:
         raise ValueError("need at least two steps")
-    path = alignment.argmax_path()
-    return float(np.mean(np.diff(path) >= 0))
+    return _mean(np.diff(alignment.argmax_path()) >= 0)
 
 
-def _run_monotonicity(alignment: AlignmentMatrix) -> float:
-    """A run's monotonicity score; a one-step run has no step pair and scores 1.0."""
-    return monotonicity_score(alignment) if alignment.n_steps >= 2 else 1.0
+def _run_monotonicity(result: SimResult) -> float:
+    """A run's monotonicity score: 1.0, with no second argmax path, if monotone (one step included)."""
+    return 1.0 if result.monotone else monotonicity_score(result.alignment)
+
+
+def _mean(x: np.ndarray) -> float:
+    """``np.mean`` of a non-empty array without its wrappers: the same pairwise sum over the size."""
+    return float(np.add.reduce(x) / x.size)
 
 
 def sharpness_score(alignment: AlignmentMatrix) -> float:
     """Mean over steps of the row maximum; 1.0 for one-hot rows."""
-    return float(np.mean(alignment.probs.max(axis=1)))
+    return _mean(alignment.probs.max(axis=1))
 
 
 def duration_error(realized: np.ndarray, target: np.ndarray) -> tuple[float, float]:
@@ -77,7 +81,7 @@ def duration_error(realized: np.ndarray, target: np.ndarray) -> tuple[float, flo
 def _duration_error(realized: np.ndarray, target: np.ndarray) -> tuple[float, float]:
     """``duration_error`` without its checks, for a run's own frame counts and targets."""
     abs_err = np.abs(realized - target)
-    return float(np.mean(abs_err)), float(np.mean(abs_err / target))
+    return _mean(abs_err), _mean(abs_err / target)
 
 
 @dataclass(frozen=True)
@@ -122,7 +126,7 @@ class MechanismReport:
 
 
 def _row_from_result(label: str, result: SimResult, target: np.ndarray) -> MechanismRow:
-    mono = _run_monotonicity(result.alignment)
+    mono = _run_monotonicity(result)
     mae, rel = _duration_error(result.realized_frames, target)
     failed = result.stopped_by == "max_steps" or mono < 0.5
     return MechanismRow(
@@ -155,8 +159,8 @@ def compare_mechanisms(
     scope = _SHARED.set([None])
     try:
         for label, mechanism, filtered in MECHANISM_CONFIGS:
-            opts = replace(base_cfg.opts, mechanism=mechanism, filter_enabled=filtered)
-            cfg = replace(base_cfg, opts=opts)
+            opts = _unchecked(StepOptions, {**vars(base_cfg.opts), "mechanism": mechanism, "filter_enabled": filtered})
+            cfg = _unchecked(SimConfig, {**vars(base_cfg), "opts": opts})
             result = run_simulation(d, tokens, cfg)  # only the gdca kernel reads the tokens
             rows.append(_row_from_result(label, result, d))
     finally:

@@ -29,7 +29,7 @@ from .attention import (
     _content,
     _Kernel,
     _softmax,
-    init_alignment,
+    _unchecked,
     normalize_energies,
 )
 from ._seeds import step_generators
@@ -265,9 +265,8 @@ def run_simulation(
     limit = cfg.max_steps if stop_rule else cfg.fixed_steps
     qgen = QueryGenerator(n, cfg.seed) if cfg.energy.mode == "from_query_generator" else None
     synth = _energy_source(d, cfg) if qgen is None else None
-    whole = kernel.whole and qgen is None  # a block of steps per kernel call
 
-    p = init_alignment(n).p
+    p = np.eye(1, n)[0]  # the one-hot first row
     blocks: list[np.ndarray] = []
     parked = 0
     stopped_by = "max_steps" if stop_rule else "fixed"
@@ -275,12 +274,13 @@ def run_simulation(
         rows = np.empty((min(_ENERGY_BLOCK, limit - t0), n))
         blocks.append(rows)
         energies = synth.rows(t0, t0 + len(rows)) if qgen is None else None
-        if whole:
-            kernel.step(None, energies.T, rows.T)  # the block's steps as (N, T) columns
+        stepped = qgen is None and kernel.stay is None and kernel.la_block(p, energies, rows)
+        if stepped:
+            p = rows[-1]
             if not stop_rule:
                 continue
-        for i, row in enumerate(rows):
-            if not whole:
+        for i, row in enumerate(rows):  # the block row by row, unless la_block stepped it
+            if not stepped:
                 kernel.step(p, energies[i] if qgen is None else qgen.energies(p), row)
                 p = row
             if stop_rule:
@@ -292,12 +292,12 @@ def run_simulation(
         if stopped_by == "parked":
             break
 
-    alignment = AlignmentMatrix(probs=np.concatenate(blocks))
-    realized, monotone = realized_durations(alignment)
+    probs = np.concatenate(blocks)
+    realized, monotone = _path_counts(probs.argmax(axis=1), n)
     return SimResult(
-        alignment=alignment,
+        alignment=_unchecked(AlignmentMatrix, {"probs": probs, "cache": None}),
         realized_frames=realized,
-        stop_step=alignment.n_steps,
+        stop_step=len(probs),
         stopped_by=stopped_by,
         monotone=monotone,
         config=cfg,
@@ -312,7 +312,9 @@ def realized_durations(alignment: AlignmentMatrix) -> tuple[np.ndarray, bool]:
     """
     if alignment.n_steps == 0:
         raise ValueError("empty alignment")
-    path = alignment.argmax_path()
-    counts = np.bincount(path, minlength=alignment.n_phonemes)
-    monotone = bool(np.all(np.diff(path) >= 0))
-    return counts, monotone
+    return _path_counts(alignment.argmax_path(), alignment.n_phonemes)
+
+
+def _path_counts(path: np.ndarray, n: int) -> tuple[np.ndarray, bool]:
+    """``realized_durations`` of an argmax path over ``n`` phonemes."""
+    return np.bincount(path, minlength=n), bool((path[1:] >= path[:-1]).all())

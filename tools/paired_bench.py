@@ -27,12 +27,16 @@ the change won, and a verdict per metric:
 It also records, per operation label (an op key without its leading
 ``NN.`` instance number), each side's median over runs of the per-run
 median op time, so that a record shows which operations a change moved.
+Each pass's op times are scaled to the reference speed, as
+``perfbench/run.py`` scales ``wall_s``: by ``REFERENCE_S`` of the
+checkout's ``perfbench/speed.py`` over the pass's reference kernel time.
 Standard library only.
 """
 
 from __future__ import annotations
 
 import argparse
+import ast
 import json
 import platform
 import statistics
@@ -77,9 +81,32 @@ def checkout(spec: str, workdir: Path, side: str) -> tuple[Path, dict]:
     return target, {"spec": spec, "sha": sha, "uncommitted_changes": False}
 
 
+def reference_s(root: Path) -> float:
+    """``REFERENCE_S`` of the checkout's ``perfbench/speed.py``, read
+    from its source (importing it would import numpy)."""
+    for node in ast.parse((root / "perfbench" / "speed.py").read_text()).body:
+        if isinstance(node, ast.Assign) and [getattr(t, "id", None) for t in node.targets] == ["REFERENCE_S"]:
+            return float(ast.literal_eval(node.value))
+    raise ValueError(f"no REFERENCE_S assignment in {root / 'perfbench' / 'speed.py'}")
+
+
+def op_label_ms(record: dict, reference: float) -> dict[str, float]:
+    """Per op label, the median over its ops of each op's median scaled
+    time: pass i's time times ``reference / record["kernel_s"][i]``."""
+    kernel_s = record["kernel_s"]
+    labels: dict[str, list[float]] = {}
+    for key, times in record["op_ms"].items():
+        if len(times) != len(kernel_s):
+            raise ValueError(f"op {key!r} has {len(times)} times for {len(kernel_s)} passes")
+        head, _, tail = key.partition(".")
+        scaled = [t * reference / k for t, k in zip(times, kernel_s)]
+        labels.setdefault(tail if head.isdigit() and tail else key, []).append(statistics.median(scaled))
+    return {label: statistics.median(values) for label, values in labels.items()}
+
+
 def run_once(root: Path, workload: str, seed: int, seconds: float) -> dict:
-    """One untraced benchmark run: its last output line, plus the op
-    times and versions from the record it writes."""
+    """One untraced benchmark run: its last output line, plus the scaled
+    op times and versions from the record it writes."""
     cmd = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
            "--seconds", str(seconds), "--trace", "0"]
     proc = subprocess.run(cmd, cwd=root, capture_output=True, text=True)
@@ -88,17 +115,13 @@ def run_once(root: Path, workload: str, seed: int, seconds: float) -> dict:
         return {"exit": proc.returncode, "error": (proc.stderr or proc.stdout).strip()[-2000:]}
     result = json.loads(lines[-1])
     record = json.loads((root / ".perfbench_out" / f"BENCH_{workload}_seed{seed}_trace0.json").read_text())
-    labels: dict[str, list[float]] = {}
-    for key, times in record["op_ms"].items():
-        head, _, tail = key.partition(".")
-        labels.setdefault(tail if head.isdigit() and tail else key, []).append(statistics.median(times))
     return {
         "exit": 0,
         "correct": result["correct"],
         "attempted": result["attempted"],
         "failed": result["failed"],
         "metrics": {name: m["value"] for name, m in result["metrics"].items()},
-        "op_label_ms": {label: statistics.median(values) for label, values in labels.items()},
+        "op_label_ms": op_label_ms(record, reference_s(root)),
         "meta": record["meta"],
     }
 
