@@ -306,9 +306,10 @@ class _Kernel:
         return s
 
     def la_block(self, p: np.ndarray, e: np.ndarray, out: np.ndarray) -> bool:
-        """T la steps after row ``p`` into ``out``, bit for bit ``step``'s rows, and True;
-        False (step the block row by row) if a normalizer is below 1e-300 or,
-        with the filter, a row's argmax is not the centre that masked the next row."""
+        """Step T la rows after ``p`` into ``out``, bit for bit as ``step`` would, and
+        return True; return False, for the caller to step the block row by row, if a
+        normalizer is below 1e-300 or, with the filter, a row's argmax is not the centre
+        that masked the next row."""
         b = e
         if self.table is not None:  # walk the centres: each one the argmax of the masked row before it
             b, c, centres = out, p.argmax(), np.empty(len(e), dtype=np.intp)

@@ -346,6 +346,14 @@ def params_to_text(params: DurationEncoderParams) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _value(text: str, name: str) -> float:
+    """One entry of array ``name`` in a parameter file."""
+    try:
+        return float(text)
+    except ValueError:
+        raise ValueError(f"bad value '{text}' in '{name}'") from None
+
+
 def params_from_text(text: str) -> DurationEncoderParams:
     lines = [ln for ln in text.splitlines() if ln.strip()]
     if not lines or not lines[0].startswith("hidden "):
@@ -354,14 +362,16 @@ def params_from_text(text: str) -> DurationEncoderParams:
     arrays: dict[str, np.ndarray] = {}
     while pos < len(lines):
         name, *shape = lines[pos].split()
-        if len(shape) != 2 or not (shape[0].isdecimal() and shape[1].isdecimal()):
+        if len(shape) != 2 or not (shape[0].isdecimal() and shape[1].isdecimal()) or 0 in map(int, shape):
             raise ValueError(f"bad array header: '{lines[pos]}'")
         rows, cols = int(shape[0]), int(shape[1])
+        if name == "b2" and (rows, cols) != (1, 1):
+            raise ValueError(f"bad parameter file: '{lines[pos]}' is not 1 x 1")
         if pos + rows >= len(lines):
             raise ValueError(f"truncated array '{name}'")
         data = []
         for r in range(rows):
-            data.append([float(v) for v in lines[pos + 1 + r].split()])
+            data.append([_value(v, name) for v in lines[pos + 1 + r].split()])
             if len(data[-1]) != cols:
                 raise ValueError(f"bad row length in '{name}'")
         arrays[name] = np.array(data)

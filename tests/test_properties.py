@@ -1,11 +1,14 @@
 """Invariant checks over randomized inputs."""
 
+from types import SimpleNamespace
+
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from duralign.attention import (
     AlignmentDistribution,
+    AlignmentMatrix,
     StepOptions,
     dynamic_filter,
     fa_step,
@@ -15,7 +18,8 @@ from duralign.attention import (
 )
 from duralign.tokens import DurationEncoderParams, DurationFeatures, encoder_forward, oracle_tokens
 from duralign.score import NoteEvent, Score, expand_to_phonemes, frames_for
-from duralign.simulate import SimConfig, SynthEnergySpec, run_simulation
+from duralign.evaluate import _run_monotonicity, duration_error, monotonicity_score, sharpness_score
+from duralign.simulate import SimConfig, SynthEnergySpec, realized_durations, run_simulation
 from duralign.tokens import TransitionTokens
 
 finite = st.floats(min_value=-50.0, max_value=50.0, allow_nan=False)
@@ -190,3 +194,31 @@ def test_lengthening_a_phoneme_never_shortens_its_dwell(instance, seed, sharpnes
                 before = run_simulation(d, oracle_tokens(d), cfg).realized_frames[k]
                 after = run_simulation(longer, oracle_tokens(longer), cfg).realized_frames[k]
                 assert after >= before, (mechanism, filter_enabled, energy.mode)
+
+
+@st.composite
+def alignments(draw):
+    """(T, N) rows: one or two steps, or up to 3000; with integer weights,
+    so that rows tie for their argmax, or Dirichlet rows."""
+    t = draw(st.one_of(st.sampled_from([1, 2]), st.integers(3, 3000)))
+    n = draw(st.integers(1, 20))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    raw = rng.integers(1, 4, (t, n)).astype(np.float64) if draw(st.booleans()) else rng.dirichlet(np.ones(n), t)
+    return AlignmentMatrix(probs=raw / raw.sum(axis=1, keepdims=True))
+
+
+@settings(max_examples=150, deadline=None)
+@given(alignments(), st.integers(0, 2**32 - 1))
+def test_metrics_equal_their_np_mean_expressions_bit_for_bit(alignment, seed):
+    path = np.argmax(alignment.probs, axis=1)
+    counts, monotone = realized_durations(alignment)
+    assert np.array_equal(counts, np.bincount(path, minlength=alignment.n_phonemes))
+    assert monotone == bool(np.all(np.diff(path) >= 0))
+    assert sharpness_score(alignment) == float(np.mean(alignment.probs.max(axis=1)))
+    mono = float(np.mean(np.diff(path) >= 0)) if alignment.n_steps >= 2 else 1.0
+    if alignment.n_steps >= 2:
+        assert monotonicity_score(alignment) == mono
+    assert _run_monotonicity(SimpleNamespace(alignment=alignment, monotone=monotone)) == mono
+    target = np.random.default_rng(seed).uniform(0.5, 40.0, alignment.n_phonemes)
+    abs_err = np.abs(counts - target)
+    assert duration_error(counts, target) == (float(np.mean(abs_err)), float(np.mean(abs_err / target)))

@@ -1,15 +1,17 @@
 """The per-run step kernel and the simulator's block loop, against the
 public-API reference of ``test_kernel_equivalence``: the stop rule at the
-edges of a row block, whole-block normalization for la without the
-filter, and the window table behind every step's mask."""
+edges of a row block, la stepped a block at a time (``_Kernel.la_block``)
+with and without the filter, and the window table behind every step's
+mask."""
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from duralign.attention import StepOptions, dynamic_filter, window_mask
-from duralign.simulate import SimConfig, SynthEnergySpec
+from duralign import simulate
+from duralign.attention import StepOptions, _Kernel, dynamic_filter, window_mask
+from duralign.simulate import SimConfig, SynthEnergySpec, run_simulation
 from test_kernel_equivalence import BLOCK, assert_matches_reference, every_mechanism, reference_simulation, tokens_for
 
 # the last phoneme starts at frame 100 and the diagonal stays on it past 2 * BLOCK
@@ -43,17 +45,58 @@ SPECS = {
 }
 
 
+LA_OPTS = [StepOptions(mechanism="la")] + [
+    StepOptions(mechanism="la", filter_enabled=True, window_width=width, window_shape=shape)
+    for shape in ("rectangular", "triangular")
+    for width in (2, 4, 16)
+]
+
+
+@pytest.mark.parametrize("opts", LA_OPTS, ids=lambda o: f"{o.window_shape}-{o.window_width}" if o.filter_enabled else "unfiltered")
 @pytest.mark.parametrize("stop_rule", [False, True])
 @pytest.mark.parametrize("spec", list(SPECS))
 @pytest.mark.parametrize("n", [1, 7, 8, 9, 64, 256])
-def test_whole_block_la(n, spec, stop_rule):
+def test_whole_block_la(n, spec, stop_rule, opts):
     d = np.random.default_rng(n).integers(1, 5, n).astype(np.float64)
     d[0] += 2 * BLOCK  # more than two blocks of rows, whatever n
     total = int(d.sum())
     steps = {"max_steps": total + 20} if stop_rule else {"fixed_steps": total}
-    cfg = SimConfig(opts=StepOptions(mechanism="la"), energy=SPECS[spec], seed=n, **steps)
+    cfg = SimConfig(opts=opts, energy=SPECS[spec], seed=n, **steps)
     result = assert_matches_reference(d, None, cfg)
     assert result.stopped_by == ("parked" if stop_rule else "fixed")
+
+
+# la with the filter over 8 phonemes of 5 frames: the argmax parks on the last phoneme at
+# step 38, and the spike on phoneme 0 at step 45, outside the window, underflows the normalizer
+SPIKE_AFTER_PARKING = {
+    "opts": StepOptions(mechanism="la", filter_enabled=True, window_width=4),
+    "energy": SynthEnergySpec(mode="adversarial_spike", spike_magnitude=1000.0, spike_schedule=((45, 0),)),
+}
+
+
+def test_la_block_parks_before_a_later_underflow_in_its_block():
+    result = assert_matches_reference(np.full(8, 5.0), None, SimConfig(max_steps=100, **SPIKE_AFTER_PARKING))
+    assert (result.stopped_by, result.stop_step) == ("parked", 38)
+
+
+def test_la_block_underflow_without_the_stop_rule_raises():
+    with pytest.raises(FloatingPointError, match="normalizer underflowed"):
+        run_simulation(np.full(8, 5.0), None, SimConfig(fixed_steps=100, **SPIKE_AFTER_PARKING))
+
+
+# raw argmax 2, but the two middle entries divide to one double, so the normalized argmax is 1
+TIE_ROW = [0.9274239286245599, 1.9491212299909904, 1.9491212299909906, 0.8636400902455758]
+
+
+def test_la_block_re_steps_a_row_whose_argmax_moves_when_normalized(monkeypatch):
+    # row 0 moves the centre to phoneme 1, whose window of width 4 keeps all of TIE_ROW; row 2's
+    # window is then centred on 1 (phonemes 0-3), not on the raw argmax 2 (phonemes 0-4)
+    block = np.array([[0.0, 1.0, 0.0, 0.0, 0.0, 0.0], TIE_ROW + [0.0, 0.0], [1.0] * 6])
+    opts = SPIKE_AFTER_PARKING["opts"]
+    assert not _Kernel(None, opts, (6,)).la_block(np.eye(1, 6)[0], block, np.empty(block.shape))
+    monkeypatch.setattr(simulate._SynthRows, "rows", lambda self, t0, t1: block[t0:t1])
+    result = assert_matches_reference(np.full(6, 1.0), None, SimConfig(opts=opts, fixed_steps=3))
+    assert result.alignment.probs[1].argmax() == 1 and result.alignment.probs[2, 4] == 0.0
 
 
 def literal_mask(n, center, width, shape):

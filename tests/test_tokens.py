@@ -271,11 +271,31 @@ class TestSerialization:
         with pytest.raises(ValueError):
             params_from_text(text)
 
-    @pytest.mark.parametrize("header", ["w1 4 x", "w1 -1 3", "w1 4", "w1 4 3 1"])
+    @pytest.mark.parametrize("header", ["w1 4 x", "w1 -1 3", "w1 4", "w1 4 3 1", "w1 0 3", "w1 4 0", "w1 00 3"])
     def test_bad_array_header_is_named(self, header):
         text = params_to_text(DurationEncoderParams.init(0, hidden=4)).replace("w1 4 3", header)
         with pytest.raises(ValueError, match=f"^bad array header: '{header}'$"):
             params_from_text(text)
+
+    @pytest.mark.parametrize(
+        "header, match",
+        [
+            ("b2 0 1", "^bad array header: 'b2 0 1'$"),  # the value line is not read as the next header
+            ("b2 2 1", "^bad parameter file: 'b2 2 1' is not 1 x 1$"),  # not its first value alone
+            ("b2 1 2", "^bad parameter file: 'b2 1 2' is not 1 x 1$"),
+        ],
+    )
+    def test_b2_must_be_one_by_one(self, header, match):
+        text = params_to_text(DurationEncoderParams.init(0, hidden=4)).replace("b2 1 1", header) + "0.5\n"
+        with pytest.raises(ValueError, match=match):
+            params_from_text(text)
+
+    @pytest.mark.parametrize("line, name", [(2, "w1"), (-1, "b2")])
+    def test_a_non_number_entry_names_its_array(self, line, name):
+        lines = params_to_text(DurationEncoderParams.init(0, hidden=4)).splitlines()
+        lines[line] = " ".join(["abc"] + lines[line].split()[1:])
+        with pytest.raises(ValueError, match=f"^bad value 'abc' in '{name}'$"):
+            params_from_text("\n".join(lines))
 
     @pytest.mark.parametrize("hidden", ["9", "3", "x", "4 4"])
     def test_hidden_header_must_match_the_arrays(self, hidden):
