@@ -65,7 +65,7 @@ __all__ = [
 MECHANISMS = ("la", "fa", "gdca")
 CONVENTIONS = ("prose", "eq3-literal")
 WINDOW_SHAPES = ("rectangular", "triangular")
-_BLOCK = 128  # rows that _csv_chunks formats, and lattice_backward finishes, at a time
+_BLOCK = 128  # rows that _csv_chunks formats, lattice_backward finishes and run_simulation steps at a time
 
 
 # ---------------------------------------------------------------------------
@@ -187,8 +187,8 @@ class AlignmentMatrix:
 
     def __post_init__(self):
         self.probs = _floats("alignment probability", self.probs)
-        if self.probs.ndim != 2:
-            raise ValueError(f"alignment matrix must be one (T, N) array; got shape {self.probs.shape}")
+        if self.probs.ndim != 2 or 0 in self.probs.shape:
+            raise ValueError(f"alignment matrix must be one non-empty (T, N) array; got shape {self.probs.shape}")
 
     @property
     def n_steps(self) -> int:
@@ -561,11 +561,8 @@ def _texts(texts: list[str]) -> np.ndarray:
 def _csv_chunks(alignment: AlignmentMatrix) -> Iterator[bytes]:
     """The bytes of ``alignment_to_csv``: the header, then one chunk per
     128-row block, so a caller can write the CSV without holding it."""
-    n = alignment.n_phonemes
     yield b"t,n,p\n"
-    if n == 0:
-        return
-    cols = _texts([f"{j}," for j in range(n)])
+    cols = _texts([f"{j}," for j in range(alignment.n_phonemes)])
     zero = repr_columns(np.zeros(1))
     for t0 in range(0, alignment.n_steps, _BLOCK):
         yield _csv_block(alignment.probs[t0 : t0 + _BLOCK], t0, cols, zero)

@@ -180,8 +180,6 @@ def cmd_sweep(args) -> int:
         tempos = [float(t) for t in args.tempos.split(",") if t]
     except ValueError as exc:
         raise CliError(f"bad --tempos value: {args.tempos}") from exc
-    if not tempos:
-        raise CliError("empty --tempos list")
     cfg = _sim_config(args)
     sweep = evaluate.tempo_sweep(score, tempos, cfg, lexicon=lexicon, q_min=args.q_min)
     out = Path(args.out)
@@ -205,7 +203,7 @@ def cmd_gradcheck(args) -> int:
     targets = list(checks) if args.which == "all" else [args.which]
     ok = True
     for target in targets:
-        result = checks[target](args.seed, corrupt=args.corrupt)
+        result = checks[target](args.seed)
         status = "pass" if result.passed else "FAIL"
         print(f"{target}: {status} max_rel_err={result.max_rel_err:.3e} step={result.step:g}")
         ok = ok and result.passed
@@ -275,7 +273,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("gradcheck", help="finite-difference gradient checks")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--which", choices=("energies", "encoder", "lattice", "all"), default="all")
-    p.add_argument("--corrupt", action="store_true", help=argparse.SUPPRESS)  # negative-control hook
     p.set_defaults(func=cmd_gradcheck)
 
     p = sub.add_parser("train-encoder", help="train the duration encoder on the synthetic sweep")

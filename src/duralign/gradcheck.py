@@ -1,4 +1,10 @@
-"""Central finite-difference checks for every analytic gradient."""
+"""Central finite-difference checks for every analytic gradient.
+
+Each check calls its backward pass through the module that owns it
+(``attention.content_energies_backward``, ``tokens.encoder_backward``,
+``attention.lattice_backward``), so a negative control replaces that
+attribute with a wrong gradient and expects ``passed=False``; the
+tests do so."""
 
 from __future__ import annotations
 
@@ -72,7 +78,7 @@ def _pack(*arrays: np.ndarray) -> np.ndarray:
     return np.concatenate([np.asarray(a, dtype=np.float64).ravel() for a in arrays])
 
 
-def _check_parameters(target: str, params, grads, loss, step: float, corrupt: bool) -> GradCheckResult:
+def _check_parameters(target: str, params, grads, loss, step: float) -> GradCheckResult:
     """Check ``grads`` against central differences of ``loss(params)``.
 
     ``grads`` is of the type of ``params``: a backward pass returns its
@@ -90,15 +96,13 @@ def _check_parameters(target: str, params, grads, loss, step: float, corrupt: bo
         return type(params)(**dict(zip(names, parts)))
 
     analytic = _pack(*(getattr(grads, name) for name in names))
-    if corrupt:
-        analytic = analytic + 1e-2
     theta0 = _pack(*(getattr(params, name) for name in names))
     numeric = central_difference(lambda thetas: [loss(rebuild(theta)) for theta in thetas], theta0, step)
     err = relative_error(analytic, numeric)
     return GradCheckResult(target, err, step, err <= 1e-5)
 
 
-def check_energy_gradients(seed: int, step: float = FD_STEP, corrupt: bool = False) -> GradCheckResult:
+def check_energy_gradients(seed: int, step: float = FD_STEP) -> GradCheckResult:
     """Check content-energy parameter gradients against finite differences."""
     seed = tokens._checked("seed", seed, int, least=0)
     rng = np.random.default_rng(seed)
@@ -112,10 +116,10 @@ def check_energy_gradients(seed: int, step: float = FD_STEP, corrupt: bool = Fal
     def loss(p: attention.EnergyParams) -> float:
         return float(np.dot(upstream, attention.content_energies(p, query, keys)))
 
-    return _check_parameters("energies", params, grads, loss, step, corrupt)
+    return _check_parameters("energies", params, grads, loss, step)
 
 
-def check_encoder_gradients(seed: int, step: float = FD_STEP, corrupt: bool = False) -> GradCheckResult:
+def check_encoder_gradients(seed: int, step: float = FD_STEP) -> GradCheckResult:
     """Check duration-encoder parameter gradients against finite differences."""
     seed = tokens._checked("seed", seed, int, least=0)
     rng = np.random.default_rng(seed)
@@ -129,10 +133,10 @@ def check_encoder_gradients(seed: int, step: float = FD_STEP, corrupt: bool = Fa
     def loss(p: tokens.DurationEncoderParams) -> float:
         return float(np.dot(upstream, tokens.encoder_forward(p, feats).q))
 
-    return _check_parameters("encoder", params, grads, loss, step, corrupt)
+    return _check_parameters("encoder", params, grads, loss, step)
 
 
-def check_lattice_gradients(seed: int, step: float = FD_STEP, corrupt: bool = False) -> GradCheckResult:
+def check_lattice_gradients(seed: int, step: float = FD_STEP) -> GradCheckResult:
     """Check lattice reverse-mode gradients (dq and dE) with a
     duration-matching occupancy loss.  The finite differences run as two
     passes of the private batched forward, ``attention._batch_forward``:
@@ -150,8 +154,6 @@ def check_lattice_gradients(seed: int, step: float = FD_STEP, corrupt: bool = Fa
     d_probs = np.tile(2.0 * (occupancy - d), (t_steps + 1, 1))
     dq, d_energies = attention.lattice_backward(mat, d_probs)
     analytic = _pack(dq, d_energies)
-    if corrupt:
-        analytic = analytic + 1e-2
 
     def loss(qs: np.ndarray, es: np.ndarray) -> np.ndarray:
         """Occupancy loss of each sequence in a batched forward pass."""

@@ -114,10 +114,6 @@ class PhonemeSequence:
         return len(self.events)
 
     @property
-    def n_phonemes(self) -> int:
-        return len(self.events)
-
-    @property
     def target_frames(self) -> tuple[int, ...]:
         return tuple(ev.target_frames for ev in self.events)
 

@@ -26,6 +26,7 @@ from .attention import (
     AlignmentMatrix,
     EnergyParams,
     StepOptions,
+    _BLOCK,
     _content,
     _Kernel,
     _softmax,
@@ -142,9 +143,6 @@ def phoneme_at_frame(d: np.ndarray, t: int) -> int:
     bounds = np.cumsum(d)
     idx = int(np.searchsorted(bounds, t, side="right"))
     return min(idx, d.size - 1)
-
-
-_ENERGY_BLOCK = 128  # synthetic energy rows built at a time
 
 
 class _SynthRows:
@@ -270,8 +268,8 @@ def run_simulation(
     blocks: list[np.ndarray] = []
     parked = 0
     stopped_by = "max_steps" if stop_rule else "fixed"
-    for t0 in range(0, limit, _ENERGY_BLOCK):  # rows written in place, a block at a time
-        rows = np.empty((min(_ENERGY_BLOCK, limit - t0), n))
+    for t0 in range(0, limit, _BLOCK):  # rows written in place, a block at a time
+        rows = np.empty((min(_BLOCK, limit - t0), n))
         blocks.append(rows)
         energies = synth.rows(t0, t0 + len(rows)) if qgen is None else None
         stepped = qgen is None and kernel.stay is None and kernel.la_block(p, energies, rows)
@@ -310,8 +308,6 @@ def realized_durations(alignment: AlignmentMatrix) -> tuple[np.ndarray, bool]:
     Returns (counts, monotone); monotone is False if the argmax path
     ever steps backward.
     """
-    if alignment.n_steps == 0:
-        raise ValueError("empty alignment")
     return _path_counts(alignment.argmax_path(), alignment.n_phonemes)
 
 

@@ -3,7 +3,9 @@
 The token q_n is the probability of advancing past phoneme n at each
 decoder step.  Two sources are provided: a closed-form oracle (geometric
 dwell, q = 1/d) and a small trainable encoder mapping duration features
-to (0, 1) with hand-rolled analytic gradients.
+to (0, 1) with hand-rolled analytic gradients.  The encoder's
+parameters go to text and back in one fixed layout: ``params_from_text``
+reads what ``params_to_text`` writes and rejects anything else by name.
 
 The module also owns the package's private input checks, so each rule
 is written once: ``_checked`` for settings fields and scalar arguments,
@@ -182,10 +184,6 @@ class DurationEncoderParams:
         return self.b1.size
 
     @classmethod
-    def zeros(cls, hidden: int = 16) -> "DurationEncoderParams":
-        return cls(np.zeros((hidden, 3)), np.zeros(hidden), np.zeros(hidden), 0.0)
-
-    @classmethod
     def init(cls, seed: int, hidden: int = 16, scale: float = 0.5) -> "DurationEncoderParams":
         rng = np.random.default_rng(seed)
         return cls(
@@ -328,21 +326,18 @@ def tokens_to_csv(seq: PhonemeSequence, tokens: TransitionTokens) -> str:
     return out.getvalue()
 
 
+_ARRAYS = ("w1", "b1", "w2", "b2")  # a parameter file's arrays, in file order
+
+
 def params_to_text(params: DurationEncoderParams) -> str:
-    """Flat key-value text format with declared shapes."""
+    """Flat text: ``hidden H``, then each array of ``_ARRAYS`` as a
+    ``name rows cols`` header and its rows (vectors and ``b2`` as one
+    row), every entry as ``repr(float)``, which reads back exactly."""
     lines = [f"hidden {params.hidden}"]
-
-    def emit(name: str, arr: np.ndarray):
-        arr = np.atleast_2d(arr)
+    for name in _ARRAYS:
+        arr = np.atleast_2d(getattr(params, name))
         lines.append(f"{name} {arr.shape[0]} {arr.shape[1]}")
-        for row in arr:
-            lines.append(" ".join(repr(float(v)) for v in row))
-
-    emit("w1", params.w1)
-    emit("b1", params.b1)
-    emit("w2", params.w2)
-    lines.append("b2 1 1")
-    lines.append(repr(float(params.b2)))
+        lines.extend(" ".join(repr(float(v)) for v in row) for row in arr)
     return "\n".join(lines) + "\n"
 
 
@@ -354,37 +349,41 @@ def _value(text: str, name: str) -> float:
         raise ValueError(f"bad value '{text}' in '{name}'") from None
 
 
+def _misplaced(line: str, want: str, head: str, seen) -> str:
+    """What is wrong with the array header ``line`` where ``want`` belongs."""
+    name = line.split()[0]
+    if name == want.split()[0]:
+        return f"expected '{want}' under '{head}', got '{line}'"
+    if name in seen:
+        return f"repeated array '{name}'"
+    return f"array '{name}' out of order" if name in _ARRAYS else f"unknown array '{name}'"
+
+
 def params_from_text(text: str) -> DurationEncoderParams:
+    """Read the layout ``params_to_text`` writes, and only that: ``hidden
+    H``, then ``w1 H 3``, ``b1 1 H``, ``w2 1 H`` and ``b2 1 1``, each
+    header line followed by its rows, in that order and nothing after
+    (blank lines are skipped).  Any other array header is rejected by
+    the name of its array, and any text after ``b2`` is rejected."""
     lines = [ln for ln in text.splitlines() if ln.strip()]
-    if not lines or not lines[0].startswith("hidden "):
-        raise ValueError("bad parameter file: missing hidden header")
-    pos = 1
-    arrays: dict[str, np.ndarray] = {}
-    while pos < len(lines):
-        name, *shape = lines[pos].split()
-        if len(shape) != 2 or not (shape[0].isdecimal() and shape[1].isdecimal()) or 0 in map(int, shape):
-            raise ValueError(f"bad array header: '{lines[pos]}'")
-        rows, cols = int(shape[0]), int(shape[1])
-        if name == "b2" and (rows, cols) != (1, 1):
-            raise ValueError(f"bad parameter file: '{lines[pos]}' is not 1 x 1")
+    head = lines[0] if lines else ""
+    size = head.split()
+    if len(size) != 2 or size[0] != "hidden" or not size[1].isdecimal() or int(size[1]) == 0:
+        raise ValueError(f"bad hidden header: '{head}'")
+    h, pos, arrays = int(size[1]), 1, {}
+    for name, (rows, cols) in zip(_ARRAYS, ((h, 3), (1, h), (1, h), (1, 1))):
+        if pos == len(lines):
+            raise ValueError(f"bad parameter file: missing '{name}'")
+        want = f"{name} {rows} {cols}"
+        if lines[pos].split() != want.split():
+            raise ValueError(f"bad parameter file: {_misplaced(lines[pos], want, head, arrays)}")
         if pos + rows >= len(lines):
             raise ValueError(f"truncated array '{name}'")
-        data = []
-        for r in range(rows):
-            data.append([_value(v, name) for v in lines[pos + 1 + r].split()])
-            if len(data[-1]) != cols:
-                raise ValueError(f"bad row length in '{name}'")
+        data = [[_value(v, name) for v in ln.split()] for ln in lines[pos + 1 : pos + 1 + rows]]
+        if any(len(row) != cols for row in data):
+            raise ValueError(f"bad row length in '{name}'")
         arrays[name] = np.array(data)
         pos += 1 + rows
-    try:
-        params = DurationEncoderParams(
-            w1=arrays["w1"],
-            b1=arrays["b1"].ravel(),
-            w2=arrays["w2"].ravel(),
-            b2=float(arrays["b2"][0, 0]),
-        )
-    except KeyError as exc:
-        raise ValueError(f"bad parameter file: missing {exc}") from exc
-    if lines[0].split() != ["hidden", str(params.hidden)] or not params.w1.shape[0] == params.w2.size == params.hidden:
-        raise ValueError(f"bad parameter file: '{lines[0]}' does not match the arrays' shapes")
-    return params
+    if pos < len(lines):
+        raise ValueError(f"bad parameter file: text after 'b2': '{lines[pos]}'")
+    return DurationEncoderParams(w1=arrays["w1"], b1=arrays["b1"][0], w2=arrays["w2"][0], b2=float(arrays["b2"][0, 0]))

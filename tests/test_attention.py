@@ -1,5 +1,6 @@
 import hashlib
 import math
+import re
 import tracemalloc
 
 import numpy as np
@@ -33,6 +34,7 @@ from duralign.attention import (
 )
 from duralign.cli import main
 from duralign.tokens import TransitionTokens
+from pinned import X86_V2, X86_V3, X86_V4, assert_pinned
 
 
 def random_energies(rng, n):
@@ -567,7 +569,7 @@ class TestLatticeBatch:
         with pytest.raises(ValueError, match=r"one non-empty \(N,\) vector; got shape \(1, 4\)"):
             TransitionTokens(q=q[:1])
         probs = batch_forward(q, energies, StepOptions())
-        with pytest.raises(ValueError, match=r"one \(T, N\) array; got shape \(5, 10, 4\)"):
+        with pytest.raises(ValueError, match=r"one non-empty \(T, N\) array; got shape \(5, 10, 4\)"):
             AlignmentMatrix(probs=probs)
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
@@ -768,8 +770,8 @@ any_cells = st.one_of(st.just(0.0), written_cells)
 
 @st.composite
 def csv_matrices(draw):
-    t_steps = draw(st.integers(0, 5))
-    n = draw(st.integers(0, 6))
+    t_steps = draw(st.integers(1, 5))
+    n = draw(st.integers(1, 6))
     rows = [
         draw(st.one_of(
             st.just([0.0] * n),  # an all-zero row
@@ -793,7 +795,7 @@ def pooled_csv_matrices(draw):
     n = draw(st.integers(1, 4))
     row = st.lists(st.sampled_from(POOL_CELLS), min_size=n, max_size=n)
     distinct = draw(st.lists(row, min_size=1, max_size=5))
-    t_steps = draw(st.integers(0, 300))
+    t_steps = draw(st.integers(1, 300))
     picks = draw(st.lists(st.integers(0, len(distinct) - 1), min_size=t_steps, max_size=t_steps))
     return np.array([distinct[i] for i in picks], dtype=np.float64).reshape(t_steps, n)
 
@@ -801,10 +803,19 @@ def pooled_csv_matrices(draw):
 class TestExports:
     # sha256 of alignment.csv from criterion 12's seeded simulate run on
     # ten_notes.json, without and with the window filter (which zeroes
-    # cells), recorded with the per-cell formatter.
+    # cells), per exp kernel (``pinned``); the X86_V4 kernel's were
+    # recorded with the per-cell formatter.
     CSV_DIGESTS = [
-        ((), "042b7e5db7e5241032ff1be541cf45383ec27b2bea35ae823f24e98bc0e1ac2d"),
-        (("--filter",), "3e5af432a0844777146bd2e35cef1cb47352ca7f1b67bf3e90398113b38ff256"),
+        ((), {
+            X86_V4: "042b7e5db7e5241032ff1be541cf45383ec27b2bea35ae823f24e98bc0e1ac2d",
+            X86_V3: "03b40bab1ff6309d54f67d776e19447847c8ccd2651ffb8435e49afa41d52006",
+            X86_V2: "03b40bab1ff6309d54f67d776e19447847c8ccd2651ffb8435e49afa41d52006",
+        }),
+        (("--filter",), {
+            X86_V4: "3e5af432a0844777146bd2e35cef1cb47352ca7f1b67bf3e90398113b38ff256",
+            X86_V3: "affcf159def6cab85e4f75176fb0f2a6d9f427aebdbb21c632906bb36944c477",
+            X86_V2: "affcf159def6cab85e4f75176fb0f2a6d9f427aebdbb21c632906bb36944c477",
+        }),
     ]
 
     def test_csv(self):
@@ -816,8 +827,8 @@ class TestExports:
         assert lines[4] == "1,1,0.75"
         assert lines[5] == "2,0,-0.0"  # -0.0 == 0, but keeps its sign
 
-    @pytest.mark.parametrize("extra,digest", CSV_DIGESTS)
-    def test_cli_csv_bytes_are_pinned(self, tmp_path, capsys, fixtures_dir, extra, digest):
+    @pytest.mark.parametrize("extra,digests", CSV_DIGESTS, ids=["unfiltered", "filtered"])
+    def test_cli_csv_bytes_are_pinned(self, tmp_path, capsys, fixtures_dir, extra, digests):
         out = tmp_path / "sim"
         code = main(
             ["simulate", str(fixtures_dir / "ten_notes.json"), "--out", str(out), "--seed", "7",
@@ -825,7 +836,7 @@ class TestExports:
         )
         capsys.readouterr()
         assert code == 0
-        assert hashlib.sha256((out / "alignment.csv").read_bytes()).hexdigest() == digest
+        assert_pinned(digests, hashlib.sha256((out / "alignment.csv").read_bytes()).hexdigest())
 
     @given(csv_matrices())
     def test_csv_matches_per_cell_formatter(self, probs):
@@ -860,20 +871,22 @@ class TestExports:
         probs[::7, 2] = 0.0
         assert alignment_to_csv(AlignmentMatrix(probs=probs)) == per_cell_csv(probs)
 
-    @pytest.mark.parametrize("n", [0, 1, 5])
-    @pytest.mark.parametrize("t_steps", [0, 1, 127, 128, 129, 257])
+    @pytest.mark.parametrize("n", [1, 5])
+    @pytest.mark.parametrize("t_steps", [1, 127, 128, 129, 257])
     def test_csv_chunks_join_to_the_csv(self, t_steps, n):
         probs = np.random.default_rng(t_steps * 10 + n).random((t_steps, n))
         probs[::3, ::2] = 0.0
         probs[1::5, 1::2] = -0.0
         chunks = list(_csv_chunks(AlignmentMatrix(probs=probs)))
         assert chunks[0] == b"t,n,p\n"
-        assert len(chunks) == 1 + (-(-t_steps // 128) if n else 0)  # the header, then one chunk per 128-row block
+        assert len(chunks) == 1 + -(-t_steps // 128)  # the header, then one chunk per 128-row block
         assert b"".join(chunks) == alignment_to_csv(AlignmentMatrix(probs=probs)).encode()
 
     @pytest.mark.parametrize("shape", [(0, 0), (0, 3), (3, 0)])
-    def test_empty_csv_is_the_header(self, shape):
-        assert alignment_to_csv(AlignmentMatrix(probs=np.zeros(shape))) == "t,n,p\n"
+    def test_an_empty_alignment_is_rejected_by_name(self, shape):
+        message = rf"^alignment matrix must be one non-empty \(T, N\) array; got shape {re.escape(str(shape))}$"
+        with pytest.raises(ValueError, match=message):
+            AlignmentMatrix(probs=np.zeros(shape))
 
     def test_pgm(self):
         mat = AlignmentMatrix(probs=np.array([[1.0, 0.0], [0.5, 0.5]]))

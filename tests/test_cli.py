@@ -6,6 +6,7 @@ import pytest
 from duralign.cli import _sim_config, build_parser, main
 from duralign.simulate import SimConfig
 from duralign.tokens import Q_MIN_DEFAULT, DurationEncoderParams, TrainConfig, params_from_text, params_to_text
+from test_gradients import corrupt_every_backward
 
 TEN = "tests/fixtures/ten_notes.json"
 
@@ -242,7 +243,8 @@ class TestSweep:
 
     @pytest.mark.parametrize(
         "tempos, message",
-        [("0,120", "non-positive default tempo"), ("nan", "non-finite default_tempo_bpm"), ("inf,120", "non-finite default_tempo_bpm")],
+        [("0,120", "non-positive default tempo"), ("nan", "non-finite default_tempo_bpm"), ("inf,120", "non-finite default_tempo_bpm"),
+         (",", "empty tempo list")],
     )
     def test_bad_tempo_value_is_usage_error(self, capsys, fixtures_dir, tmp_path, tempos, message):
         out_dir = tmp_path / "x"
@@ -287,7 +289,7 @@ def _params_file(tmp_path, w1) -> str:
     "argv, message",
     [
         (lambda tmp: ["tokens", TEN, "--source", "encoder", "--params", _params_file(tmp, np.zeros((4, 2)))],
-         "{tmp}/params.txt: parameter/feature dimension mismatch"),
+         "{tmp}/params.txt: bad parameter file: expected 'w1 4 3' under 'hidden 4', got 'w1 4 2'"),
         (lambda tmp: ["tokens", TEN, "--source", "encoder", "--params", _params_file(tmp, np.full((4, 3), np.nan))],
          "{tmp}/params.txt: non-finite encoder parameter"),
         (lambda tmp: ["simulate", TEN, "--out", str(tmp / "out"), "--energy", "noisy_diagonal", "--noise-sigma", "1e308",
@@ -297,9 +299,10 @@ def _params_file(tmp_path, w1) -> str:
     ids=["mis-shaped-params", "nan-params", "overflowing-noise"],
 )
 def test_library_rejection_is_one_line_usage_error(capsys, tmp_path, argv, message):
-    """A value the library rejects past the readers (parameters that do
-    not fit the features, under the parameter file's path; noise that
-    overflows the energies) is one error line and exit 2, not a traceback."""
+    """A value the library rejects (parameters that do not fit the
+    encoder or are not finite, under the parameter file's path; noise
+    that overflows the energies) is one error line and exit 2, not a
+    traceback."""
     code, out, err = run(capsys, *argv(tmp_path))
     assert (code, out, err) == (2, "", f"error: {message.format(tmp=tmp_path)}\n")
     assert not (tmp_path / "out").exists()
@@ -350,10 +353,12 @@ class TestGradcheck:
         assert out.splitlines() == [out.splitlines()[0]]
         assert out.startswith("encoder: pass")
 
-    def test_corrupt_negative_control(self, capsys):
-        code, out, _ = run(capsys, "gradcheck", "--corrupt")
+    def test_corrupt_negative_control(self, capsys, monkeypatch):
+        corrupt_every_backward(monkeypatch)
+        code, out, _ = run(capsys, "gradcheck")
         assert code == 1
         assert "FAIL" in out
+        assert all(": FAIL max_rel_err=" in line for line in out.splitlines())
 
 
 class TestTrainEncoder:

@@ -8,9 +8,10 @@ frame targets also get 0 and -3.  Each step function also gets options
 that name another mechanism.  A duration or tempo, read by the native
 reader or given to the score types built directly, gets a non-finite
 number, an empty list, a bool, a string, 0 and -2.0, and a pitch gets a
-number outside 0-127, a bool and a string.  ``QueryGenerator.energies`` is left out:
-the simulator's step loop calls it on rows it made itself, so it checks
-nothing per step.
+number outside 0-127, a bool and a string.  An alignment matrix also
+gets a (0, N) and a (T, 0) array, which no metric or export can read.
+``QueryGenerator.energies`` is left out: the simulator's step loop
+calls it on rows it made itself, so it checks nothing per step.
 """
 
 import dataclasses
@@ -93,7 +94,7 @@ ARRAY_ARGUMENTS = [
     ("AlignmentDistribution", "p", lambda x: AlignmentDistribution(p=x), P.p,
      "non-finite alignment", "alignment must be a non-empty vector"),
     ("AlignmentMatrix", "probs", lambda x: AlignmentMatrix(probs=x), ROWS,
-     "non-finite alignment probability", r"alignment matrix must be one \(T, N\) array"),
+     "non-finite alignment probability", r"alignment matrix must be one non-empty \(T, N\) array"),
     ("gdca_step", "e_norm", lambda x: gdca_step(P, Q, x), E,
      "non-finite energy", "empty energy vector"),
     ("fa_step", "e_norm", lambda x: fa_step(P, x), E,
@@ -203,6 +204,9 @@ def contract_rows():
             message = empty if bad is EMPTY else non_finite
             if message is not None:
                 yield entry, argument, bad, lambda call=call, x=spoiled(valid, bad): call(x), f"^{message}"
+    for shape in ((0, N), (3, 0)):
+        yield "AlignmentMatrix", "probs", shape, lambda shape=shape: AlignmentMatrix(probs=np.zeros(shape)), \
+            rf"^alignment matrix must be one non-empty \(T, N\) array; got shape {re.escape(str(shape))}$"
     for entry, argument, call in FRAME_TARGETS:
         for bad, message in [(np.nan, "non-finite"), (np.inf, "non-finite"), (-np.inf, "non-finite"), (HUGE, "non-finite"),
                              (EMPTY, "empty"), (0, "non-positive"), (-3, "non-positive")]:

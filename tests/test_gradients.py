@@ -1,6 +1,9 @@
+from dataclasses import fields
+
 import numpy as np
 import pytest
 
+from duralign import attention, tokens
 from duralign.attention import StepOptions, lattice_backward, lattice_forward, normalize_energies
 from duralign.gradcheck import (
     FD_STEP,
@@ -107,8 +110,30 @@ def test_checks_reject_a_bad_seed_by_name(check, seed, message):
         check(seed)
 
 
+# the backward passes the checks call through their modules
+BACKWARDS = [(attention, "content_energies_backward"), (tokens, "encoder_backward"), (attention, "lattice_backward")]
+
+
+def shifted(backward):
+    """``backward`` with 1e-2 added to every gradient it returns."""
+
+    def wrong(*args):
+        grads = backward(*args)
+        if isinstance(grads, tuple):
+            return tuple(g + 1e-2 for g in grads)
+        return type(grads)(**{f.name: getattr(grads, f.name) + 1e-2 for f in fields(grads)})
+
+    return wrong
+
+
+def corrupt_every_backward(monkeypatch):
+    for module, name in BACKWARDS:
+        monkeypatch.setattr(module, name, shifted(getattr(module, name)))
+
+
 @pytest.mark.parametrize("check", CHECKS)
-def test_corrupt_hook_is_detected(check):
+def test_corrupt_hook_is_detected(check, monkeypatch):
     # negative control: a deliberately wrong gradient must fail the check
-    result = check(0, corrupt=True)
+    corrupt_every_backward(monkeypatch)
+    result = check(0)
     assert not result.passed

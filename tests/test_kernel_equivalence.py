@@ -13,7 +13,7 @@ import dataclasses
 import numpy as np
 import pytest
 
-from duralign import simulate
+from duralign import attention, simulate
 from duralign.attention import (
     StepOptions,
     fa_step,
@@ -27,7 +27,7 @@ from duralign.evaluate import MECHANISM_CONFIGS, adversarial_spec
 from duralign.simulate import QueryGenerator, SimConfig, SynthEnergySpec, run_simulation, synth_energies
 from duralign.tokens import TransitionTokens, oracle_tokens
 
-BLOCK = simulate._ENERGY_BLOCK
+BLOCK = attention._BLOCK
 
 
 def public_step(dist, tokens, e, opts):
@@ -38,15 +38,16 @@ def public_step(dist, tokens, e, opts):
     return la_step(e, dist, opts)
 
 
-def reference_simulation(d, tokens, cfg):
-    """(probs, stop_step, stopped_by) with one public call per step."""
+def reference_simulation(d, tokens, cfg, energy_row=synth_energies):
+    """(probs, stop_step, stopped_by) with one public call per step;
+    ``energy_row`` stands in for ``synth_energies`` (same arguments)."""
     n = d.size
     qgen = QueryGenerator(n, cfg.seed) if cfg.energy.mode == "from_query_generator" else None
     dist = init_alignment(n)
     rows, parked = [], 0
     limit = cfg.fixed_steps if cfg.fixed_steps is not None else cfg.max_steps
     for t in range(limit):
-        e = qgen.energies(dist) if qgen is not None else synth_energies(d, cfg.energy, cfg.seed, t)
+        e = qgen.energies(dist) if qgen is not None else energy_row(d, cfg.energy, cfg.seed, t)
         dist = public_step(dist, tokens, e, cfg.opts)
         rows.append(dist.p)
         if cfg.fixed_steps is None:
@@ -56,9 +57,9 @@ def reference_simulation(d, tokens, cfg):
     return np.vstack(rows), len(rows), "fixed" if cfg.fixed_steps is not None else "max_steps"
 
 
-def assert_matches_reference(d, tokens, cfg):
+def assert_matches_reference(d, tokens, cfg, energy_row=synth_energies):
     result = run_simulation(d, tokens, cfg)
-    probs, stop_step, stopped_by = reference_simulation(d, tokens, cfg)
+    probs, stop_step, stopped_by = reference_simulation(d, tokens, cfg, energy_row)
     assert np.array_equal(result.alignment.probs, probs)
     assert (result.stop_step, result.stopped_by) == (stop_step, stopped_by)
     return result

@@ -321,7 +321,7 @@ class TestRealizedDurations:
 
     def test_rejects_a_batch(self):
         probs = np.array([[[1.0, 0.0], [0.0, 1.0]], [[1.0, 0.0], [1.0, 0.0]]])
-        with pytest.raises(ValueError, match=r"one \(T, N\) array"):
+        with pytest.raises(ValueError, match=r"one non-empty \(T, N\) array"):
             realized_durations(AlignmentMatrix(probs=probs))
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf])

@@ -4,6 +4,8 @@ edges of a row block, la stepped a block at a time (``_Kernel.la_block``)
 with and without the filter, and the window table behind every step's
 mask."""
 
+import functools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -11,7 +13,7 @@ from hypothesis import strategies as st
 
 from duralign import simulate
 from duralign.attention import StepOptions, _Kernel, dynamic_filter, window_mask
-from duralign.simulate import SimConfig, SynthEnergySpec, run_simulation
+from duralign.simulate import SimConfig, SynthEnergySpec, run_simulation, synth_energies
 from test_kernel_equivalence import BLOCK, assert_matches_reference, every_mechanism, reference_simulation, tokens_for
 
 # the last phoneme starts at frame 100 and the diagonal stays on it past 2 * BLOCK
@@ -52,6 +54,20 @@ LA_OPTS = [StepOptions(mechanism="la")] + [
 ]
 
 
+@functools.lru_cache(maxsize=None)
+def _synth_row(d_bytes, spec, seed, t):
+    row = synth_energies(np.frombuffer(d_bytes), spec, seed, t)
+    row.flags.writeable = False
+    return row
+
+
+def shared_synth_energies(d, spec, seed, t):
+    """``synth_energies`` memoised per (durations, spec, seed, t): the 14
+    cases of each (n, spec) below read the same rows.  Only their
+    reference uses it, so a test that patches the rows reads none."""
+    return _synth_row(d.tobytes(), spec, seed, t)
+
+
 @pytest.mark.parametrize("opts", LA_OPTS, ids=lambda o: f"{o.window_shape}-{o.window_width}" if o.filter_enabled else "unfiltered")
 @pytest.mark.parametrize("stop_rule", [False, True])
 @pytest.mark.parametrize("spec", list(SPECS))
@@ -62,7 +78,7 @@ def test_whole_block_la(n, spec, stop_rule, opts):
     total = int(d.sum())
     steps = {"max_steps": total + 20} if stop_rule else {"fixed_steps": total}
     cfg = SimConfig(opts=opts, energy=SPECS[spec], seed=n, **steps)
-    result = assert_matches_reference(d, None, cfg)
+    result = assert_matches_reference(d, None, cfg, shared_synth_energies)
     assert result.stopped_by == ("parked" if stop_rule else "fixed")
 
 
