@@ -18,14 +18,15 @@ window at every offset, so a step's mask is a slice and a step writes
 its row in place.  ``lattice_forward``, ``simulate.run_simulation`` and
 ``gdca_step``/``fa_step``/``la_step`` all step through it; those three
 check their input and reject options that name another mechanism.  The
-simulator steps la a block at a time (``_Kernel.la_block``).  With q = 0.5
-everywhere the gdca weights are exactly half the fa weights (including
-the absorbing boundary), so the two mechanisms agree bit-for-bit after
-normalization.
+simulator offers each block of rows to ``_Kernel.la_block``, which steps
+it whole only for an la kernel.  With q = 0.5 everywhere the gdca weights
+are exactly half the fa weights (including the absorbing boundary), so
+the two mechanisms agree bit-for-bit after normalization.
 
 Every public type and function holds one sequence: tokens are one (N,)
-vector and an alignment one (T, N) matrix.  Only the gradient check
-runs many sequences at once, through the private ``_batch_forward``.
+vector and an alignment one (T, N) matrix.  ``lattice_forward`` and the
+gradient check step through the one private ``_forward``; only the check
+hands it many sequences at once, as phoneme-first columns.
 """
 
 from __future__ import annotations
@@ -261,8 +262,9 @@ class _Kernel:
     """One run's step kernel, for rows of ``shape``: (N,), or (N, B)
     columns for a batch, with raw tokens ``q`` laid out the same way.
     Its constructor is the one place that dispatches on the mechanism,
-    which it reads from ``opts``.  An la kernel (``stay`` is None) also
-    steps a (T, N) block of rows at once through ``la_block``."""
+    which it reads from ``opts``; a caller offers a (T, N) block of rows
+    to ``la_block``, which steps it at once for an la kernel (``stay`` is
+    None) and leaves a kernel with weights to ``step``."""
 
     def __init__(self, q: np.ndarray | None, opts: StepOptions, shape: tuple):
         n = shape[0]
@@ -307,9 +309,11 @@ class _Kernel:
 
     def la_block(self, p: np.ndarray, e: np.ndarray, out: np.ndarray) -> bool:
         """Step T la rows after ``p`` into ``out``, bit for bit as ``step`` would, and
-        return True; return False, for the caller to step the block row by row, if a
-        normalizer is below 1e-300 or, with the filter, a row's argmax is not the centre
-        that masked the next row."""
+        return True; return False, for the caller to step the block row by row, for a
+        kernel with weights, if a normalizer is below 1e-300 or, with the filter, if a
+        row's argmax is not the centre that masked the next row."""
+        if self.stay is not None:
+            return False
         b = e
         if self.table is not None:  # walk the centres: each one the argmax of the masked row before it
             b, c, centres = out, p.argmax(), np.empty(len(e), dtype=np.intp)
@@ -449,35 +453,30 @@ def lattice_forward(
     energies = _finite_energy(energies)
     if energies.ndim != 2:
         raise ValueError("energies must be a (T, N) matrix")
-    t_steps, n = energies.shape
     if keep_cache and (opts.mechanism != "gdca" or opts.filter_enabled):
         raise ValueError("backward cache requires unfiltered gdca")
-    rows = np.empty((t_steps + 1, n))
-    rows[0] = init_alignment(n).p
-    kernel = _Kernel(None if q is None else q.q, opts, (n,))
-    steps = (kernel.step(p, e, out) for p, e, out in zip(rows, energies, rows[1:]))
-    sums = np.fromiter(steps, dtype=np.float64, count=t_steps)
+    rows, sums = _forward(None if q is None else q.q, energies, opts)
     alignment = AlignmentMatrix(probs=rows)  # its finiteness mask is freed before the cache copies the energies
     if keep_cache:
         alignment.cache = LatticeCache(q.q.copy(), energies.copy(), rows, sums, opts.convention)
     return alignment
 
 
-def _batch_forward(q: np.ndarray, energies: np.ndarray, opts: StepOptions) -> np.ndarray:
-    """B unfiltered runs of ``lattice_forward`` in one pass, for the
-    gradient check: (B, N) tokens and (B, T, N) normalized energies give
-    the (B, T+1, N) rows.  The kernel steps phoneme-first (N, B) columns,
-    whose normalizer sums each column in sequence where a single run sums
-    its row pairwise, so a sequence equals its own run bit for bit only
-    for N < 8, and to rounding (about 1e-13 at N = 256) above."""
-    batch, t_steps, n = energies.shape
-    columns = np.ascontiguousarray(energies.transpose(1, 2, 0))
-    rows = np.empty((t_steps + 1, n, batch))
-    rows[0] = init_alignment(n).p[:, None]
-    kernel = _Kernel(q.T, opts, (n, batch))
-    for t in range(t_steps):
-        kernel.step(rows[t], columns[t], rows[t + 1])
-    return np.ascontiguousarray(rows.transpose(2, 0, 1))
+def _forward(q: np.ndarray | None, energies: np.ndarray, opts: StepOptions) -> tuple[np.ndarray, np.ndarray]:
+    """The one forward loop: T steps from the one-hot row over (T, N)
+    normalized energies with (N,) tokens, or, for the gradient check's B
+    unfiltered sequences, over (T, N, B) phoneme-first columns with
+    (N, B) tokens.  Returns the (T+1, ...) rows and the (T, ...)
+    normalizers.  A column's normalizer sums it in sequence where a
+    single run sums its row pairwise, so a column equals its own run bit
+    for bit only for N < 8, and to rounding (about 1e-13 at N = 256) above."""
+    t_steps, shape = len(energies), energies.shape[1:]
+    rows = np.empty((t_steps + 1,) + shape)
+    rows[0] = 0.0
+    rows[0, 0] = 1.0
+    kernel = _Kernel(q, opts, shape)
+    steps = (kernel.step(p, e, out) for p, e, out in zip(rows, energies, rows[1:]))
+    return rows, np.fromiter(steps, dtype=np.dtype((np.float64, shape[1:])), count=t_steps)
 
 
 def lattice_backward(alignment: AlignmentMatrix, d_probs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

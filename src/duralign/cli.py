@@ -144,7 +144,7 @@ def cmd_tokens(args) -> int:
         text = _read_file(args.params)
         with _usage_errors(f"{args.params}: "):
             params = params_from_text(text)
-            toks = encoder_forward(params, duration_features(seq, score))
+            toks = encoder_forward(params, duration_features(seq))
     csv = tokens_to_csv(seq, toks)
     if args.out:
         atomic_write_text(args.out, csv)

@@ -16,7 +16,7 @@ import numpy as np
 
 from .attention import AlignmentMatrix, StepOptions, _unchecked
 from .score import PhonemeSequence, Score, expand_to_phonemes, with_uniform_tempo
-from .simulate import SimConfig, SimResult, SynthEnergySpec, _SHARED, phoneme_at_frame, run_simulation
+from .simulate import SimConfig, SimResult, SynthEnergySpec, _KeptRows, _SHARED, phoneme_at_frame, run_simulation
 from .tokens import Q_MIN_DEFAULT, TransitionTokens, _durations, _floats, oracle_tokens
 
 __all__ = [
@@ -149,14 +149,16 @@ def compare_mechanisms(
 ) -> MechanismReport:
     """Run the six ablation configurations on identical seeds/energies.
 
-    The six runs share each synthetic energy block, built once, so the
-    call holds the longest run's energy rows (the stateful query
-    generator stays per run).  A run is marked failed if the stop rule
-    never fires within max_steps or the monotonicity score drops below 0.5.
+    The six runs read one synthetic energy source, whose blocks are each
+    built once, so the call holds the longest run's energy rows (the
+    stateful query generator stays per run).  A run is marked failed if
+    the stop rule never fires within max_steps or the monotonicity score
+    drops below 0.5.
     """
     d = _durations(seq)
     rows = []
-    scope = _SHARED.set([None])
+    query = base_cfg.energy.mode == "from_query_generator"  # stateful: each run makes its own
+    scope = _SHARED.set(None if query else _KeptRows(d, base_cfg.energy, base_cfg.seed))
     try:
         for label, mechanism, filtered in MECHANISM_CONFIGS:
             opts = _unchecked(StepOptions, {**vars(base_cfg.opts), "mechanism": mechanism, "filter_enabled": filtered})
@@ -221,30 +223,22 @@ def tempo_sweep(
 _PROFILE_BLOCK = 512  # rows of the pairwise antitone check held at a time
 
 
-def token_profile(
-    seq: PhonemeSequence, tokens: TransitionTokens, score: Score | None = None
-) -> dict:
+def token_profile(seq: PhonemeSequence, tokens: TransitionTokens) -> dict:
     """Per-phoneme table of durations vs token values, with the
     duration-antitone check (larger duration => smaller token)."""
     if tokens.q.shape != (len(seq),):
         raise ValueError("sequence/token length mismatch")
-    rows = []
-    for i, ev in enumerate(seq.events):
-        bpm = (
-            score.notes[ev.note_index].effective_tempo(score.default_tempo_bpm)
-            if score is not None
-            else None
-        )
-        rows.append(
-            {
-                "index": i,
-                "phoneme": ev.phoneme,
-                "duration_s": ev.duration_s,
-                "tempo_bpm": bpm,
-                "d_frames": ev.target_frames,
-                "q": float(tokens.q[i]),
-            }
-        )
+    rows = [
+        {
+            "index": i,
+            "phoneme": ev.phoneme,
+            "duration_s": ev.duration_s,
+            "tempo_bpm": ev.tempo_bpm,
+            "d_frames": ev.target_frames,
+            "q": float(tokens.q[i]),
+        }
+        for i, ev in enumerate(seq.events)
+    ]
     d = np.array(seq.target_frames, dtype=np.float64)
     q = tokens.q
     q_tol = q + 1e-12

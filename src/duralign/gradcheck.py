@@ -139,8 +139,9 @@ def check_encoder_gradients(seed: int, step: float = FD_STEP) -> GradCheckResult
 def check_lattice_gradients(seed: int, step: float = FD_STEP) -> GradCheckResult:
     """Check lattice reverse-mode gradients (dq and dE) with a
     duration-matching occupancy loss.  The finite differences run as two
-    passes of the private batched forward, ``attention._batch_forward``:
-    one over the perturbed tokens, one over the perturbed energies."""
+    passes of the one forward loop, ``attention._forward``, over
+    phoneme-first columns: one over the perturbed tokens, one over the
+    perturbed energies."""
     seed = tokens._checked("seed", seed, int, least=0)
     rng = np.random.default_rng(seed)
     n, t_steps = 4, 12
@@ -156,9 +157,10 @@ def check_lattice_gradients(seed: int, step: float = FD_STEP) -> GradCheckResult
     analytic = _pack(dq, d_energies)
 
     def loss(qs: np.ndarray, es: np.ndarray) -> np.ndarray:
-        """Occupancy loss of each sequence in a batched forward pass."""
-        probs = attention._batch_forward(qs, es, opts)
-        return np.sum((probs.sum(axis=-2) - d) ** 2, axis=-1)
+        """Occupancy loss of each of B sequences, (B, N) tokens over (B, T, N)
+        energies, stepped as phoneme-first columns."""
+        rows, _ = attention._forward(qs.T, np.ascontiguousarray(es.transpose(1, 2, 0)), opts)
+        return np.sum((rows.sum(axis=0) - d[:, None]) ** 2, axis=0)
 
     numeric = _pack(
         central_difference(lambda qs: loss(qs, np.broadcast_to(energies, (len(qs),) + energies.shape)), q0, step),

@@ -103,6 +103,7 @@ class PhonemeEvent:
     duration_s: float
     target_frames: int
     note_index: int
+    tempo_bpm: float | None = None  # the note's effective tempo, as expand_to_phonemes sets it
 
 
 @dataclass(frozen=True)
@@ -127,10 +128,13 @@ def _round_half_away(x: float) -> int:
 
 
 def frames_for(note: NoteEvent, default_bpm: float) -> int:
-    """Frame budget of a note: round(beats * 60/bpm / FRAME_SHIFT_S), minimum 1."""
+    """Frame budget of a note: round(beats * 60/bpm / FRAME_SHIFT_S),
+    minimum 1.  A budget beyond the double range is rejected by name."""
     bpm = note.effective_tempo(default_bpm)
-    seconds = note.duration_beats * 60.0 / bpm
-    return max(1, _round_half_away(seconds / FRAME_SHIFT_S))
+    frames = note.duration_beats * 60.0 / bpm / FRAME_SHIFT_S
+    if not math.isfinite(frames):
+        raise ScoreError(f"frame budget of {note.duration_beats} beats at {bpm} bpm is not finite")
+    return max(1, _round_half_away(frames))
 
 
 # ---------------------------------------------------------------------------
@@ -260,11 +264,11 @@ def _split_frames(budget: int, ratios: list[float]) -> tuple[list[int], bool]:
     shares = [_round_half_away(budget * r) for r in ratios[:-1]]
     shares = [max(1, s) for s in shares]
     last = budget - sum(shares)
-    # Steal from the largest earlier share if rounding starved the last one.
+    # Steal from the largest earlier share if rounding starved the last one.  While
+    # last < 1 the k - 1 earlier shares sum to more than budget - 1 >= k - 1, so the
+    # largest is at least 2.
     while last < 1:
         j = max(range(k - 1), key=lambda i: shares[i])
-        if shares[j] <= 1:
-            break
         shares[j] -= 1
         last += 1
     return shares + [last], False
@@ -320,6 +324,7 @@ def expand_to_phonemes(
                     duration_s=ratio * note_seconds,
                     target_frames=share,
                     note_index=i,
+                    tempo_bpm=bpm,
                 )
             )
     return PhonemeSequence(events=tuple(events), clamped=clamped)

@@ -10,7 +10,8 @@ The noise of step t is ``np.random.default_rng([seed, t]).normal(0,
 noise_sigma, N)``, bit for bit.  The generators of a block of steps are
 seeded by one array hash of the block's (seed, t) pairs (``_seeds``)
 rather than by one ``SeedSequence`` per step.  The six runs of a
-comparison (``_SHARED``) share each block, built once and kept read-only.
+comparison share its one energy source (``_SHARED``), whose blocks are
+each built once and kept read-only.
 """
 
 from __future__ import annotations
@@ -188,19 +189,10 @@ class _KeptRows(_SynthRows):
         return self.kept[t0, t1]
 
 
-# compare_mechanisms sets a one-slot list here around its six runs.  A batched
-# six-way driver replaces this scope once the harness stops timing each run.
+# compare_mechanisms sets its one _KeptRows here around its six runs (None for the
+# query generator).  A batched six-way driver replaces this scope once the harness
+# stops timing each run.
 _SHARED = contextvars.ContextVar("duralign_shared_energies", default=None)
-
-
-def _energy_source(d: np.ndarray, cfg: SimConfig) -> _SynthRows:
-    """The open scope's rows if built for the same bounds, spec and seed, else the run's own."""
-    slot = _SHARED.get()
-    if slot is None:
-        return _SynthRows(d, cfg.energy, cfg.seed)
-    if slot[0] is None or (slot[0].spec, slot[0].seed) != (cfg.energy, cfg.seed) or not np.array_equal(slot[0].bounds, np.cumsum(d)):
-        slot[0] = _KeptRows(d, cfg.energy, cfg.seed)
-    return slot[0]
 
 
 def synth_energies(
@@ -262,7 +254,7 @@ def run_simulation(
     stop_rule = cfg.fixed_steps is None
     limit = cfg.max_steps if stop_rule else cfg.fixed_steps
     qgen = QueryGenerator(n, cfg.seed) if cfg.energy.mode == "from_query_generator" else None
-    synth = _energy_source(d, cfg) if qgen is None else None
+    synth = (_SHARED.get() or _SynthRows(d, cfg.energy, cfg.seed)) if qgen is None else None
 
     p = np.eye(1, n)[0]  # the one-hot first row
     blocks: list[np.ndarray] = []
@@ -272,7 +264,7 @@ def run_simulation(
         rows = np.empty((min(_BLOCK, limit - t0), n))
         blocks.append(rows)
         energies = synth.rows(t0, t0 + len(rows)) if qgen is None else None
-        stepped = qgen is None and kernel.stay is None and kernel.la_block(p, energies, rows)
+        stepped = qgen is None and kernel.la_block(p, energies, rows)
         if stepped:
             p = rows[-1]
             if not stop_rule:

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .score import PhonemeSequence, Score
+from .score import PhonemeSequence
 
 __all__ = [
     "Q_MIN_DEFAULT",
@@ -159,12 +159,14 @@ def oracle_tokens(seq: PhonemeSequence | np.ndarray, q_min: float = Q_MIN_DEFAUL
     return TransitionTokens(q=np.clip(1.0 / d, q_min, 1.0))
 
 
-def duration_features(seq: PhonemeSequence, score: Score) -> DurationFeatures:
-    """Build encoder features from a phoneme sequence and the score it expands."""
+def duration_features(seq: PhonemeSequence) -> DurationFeatures:
+    """Build encoder features from a phoneme sequence, each phoneme at the
+    tempo ``expand_to_phonemes`` gave it; an event without one is rejected."""
     rows = np.empty((len(seq), 3))
     for i, ev in enumerate(seq.events):
-        bpm = score.notes[ev.note_index].effective_tempo(score.default_tempo_bpm)
-        rows[i] = (ev.duration_s, bpm, np.log(ev.target_frames))
+        if ev.tempo_bpm is None:
+            raise ValueError(f"phoneme {i} ('{ev.phoneme}') has no tempo_bpm")
+        rows[i] = (ev.duration_s, ev.tempo_bpm, np.log(ev.target_frames))
     return DurationFeatures(rows=rows)
 
 

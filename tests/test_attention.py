@@ -28,7 +28,7 @@ from duralign.attention import (
     normalize_energies,
     pure_lattice_occupancy,
     window_mask,
-    _batch_forward,
+    _forward,
     _csv_chunks,
     _shift_weights,
 )
@@ -138,6 +138,12 @@ class TestNormalize:
 def test_energy_entry_points_reject_an_empty_vector(call):
     with pytest.raises(ValueError, match="empty energy vector"):
         call()
+
+
+@pytest.mark.parametrize("energies", [np.full(4, 0.25), np.full((2, 3, 4), 0.25)], ids=["vector", "stack"])
+def test_lattice_forward_rejects_energies_that_are_not_a_matrix(energies):
+    with pytest.raises(ValueError, match=r"^energies must be a \(T, N\) matrix$"):
+        lattice_forward(None, energies, StepOptions(mechanism="fa"))
 
 
 class TestContainers:
@@ -488,7 +494,7 @@ def batch_problem(seed, n, t_steps=9, batch=5):
 
 
 def looped_forward(q, energies, opts):
-    """Reference for _batch_forward: one lattice_forward call per sequence."""
+    """Reference for _forward's columns: one lattice_forward call per sequence."""
     batch = q.shape[0] if q.ndim == 2 else energies.shape[0]
     return np.stack(
         [
@@ -520,17 +526,19 @@ def batched_sides(q, energies, side):
 
 
 def batch_forward(q, energies, opts):
-    """_batch_forward with an unbatched side shared by every sequence,
-    as the gradient check passes its token and energy stacks."""
+    """_forward over phoneme-first columns, with an unbatched side shared
+    by every sequence, as the gradient check passes its token and energy
+    stacks; the rows come back as (B, T+1, N)."""
     batch = q.shape[0] if q.ndim == 2 else energies.shape[0]
     n = energies.shape[-1]
-    return _batch_forward(
-        np.broadcast_to(q, (batch, q.shape[-1])), np.broadcast_to(energies, (batch, energies.shape[-2], n)), opts
-    )
+    qs = np.broadcast_to(q, (batch, q.shape[-1]))
+    es = np.broadcast_to(energies, (batch, energies.shape[-2], n))
+    rows, _ = _forward(qs.T, np.ascontiguousarray(es.transpose(1, 2, 0)), opts)
+    return rows.transpose(2, 0, 1)
 
 
 class TestLatticeBatch:
-    """The private batched forward that the lattice gradient check runs."""
+    """The private forward loop over the columns that the lattice gradient check runs."""
 
     @pytest.mark.parametrize("side", ["tokens", "energies", "both"])
     @pytest.mark.parametrize("name", list(BATCH_OPTS))

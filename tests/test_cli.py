@@ -3,9 +3,21 @@ import json
 import numpy as np
 import pytest
 
+from duralign import cli
 from duralign.cli import _sim_config, build_parser, main
+from duralign.musicxml import parse_musicxml
+from duralign.score import expand_to_phonemes, parse_lexicon
 from duralign.simulate import SimConfig
-from duralign.tokens import Q_MIN_DEFAULT, DurationEncoderParams, TrainConfig, params_from_text, params_to_text
+from duralign.tokens import (
+    Q_MIN_DEFAULT,
+    DurationEncoderParams,
+    TrainConfig,
+    TrainingDiverged,
+    oracle_tokens,
+    params_from_text,
+    params_to_text,
+    tokens_to_csv,
+)
 from test_gradients import corrupt_every_backward
 
 TEN = "tests/fixtures/ten_notes.json"
@@ -113,6 +125,21 @@ class TestTokens:
         assert code == 0
         q = [float(line.split(",")[3]) for line in out.splitlines()[1:]]
         assert all(0.0 < v < 1.0 for v in q)
+
+
+    def test_lexicon_file(self, capsys, fixtures_dir):
+        score = str(fixtures_dir / "musicxml" / "melody.musicxml")
+        code, out, _ = run(capsys, "tokens", score, "--format", "musicxml", "--lexicon", str(fixtures_dir / "lexicon.txt"))
+        seq = expand_to_phonemes(parse_musicxml((fixtures_dir / "musicxml" / "melody.musicxml").read_text()),
+                                 parse_lexicon((fixtures_dir / "lexicon.txt").read_text()))
+        assert (code, out) == (0, tokens_to_csv(seq, oracle_tokens(seq)))
+        assert out.splitlines()[1:3] == ["0,n,30,0.03333333333333333", "1,i,30,0.03333333333333333"]
+
+    def test_malformed_lexicon_file_is_usage_error(self, capsys, tmp_path):
+        lexicon = tmp_path / "lex.txt"
+        lexicon.write_text("la l:0.5 a:0.6\n")
+        code, out, err = run(capsys, "tokens", TEN, "--lexicon", str(lexicon))
+        assert (code, out, err) == (2, "", f"error: {lexicon}: lexicon line 1: ratios sum to 1.1, expected 1\n")
 
 
 class TestSimulate:
@@ -233,6 +260,13 @@ class TestSweep:
         assert "tempos" in err
 
 
+    def test_a_run_that_never_stops_is_an_experiment_failure(self, capsys, tmp_path):
+        out_dir = tmp_path / "sweep"
+        code, out, err = run(capsys, "sweep", TEN, "--tempos", "120,60", "--max-steps", "300", "--out", str(out_dir))
+        assert (code, err) == (1, "sweep failed: some run never stopped\n")
+        assert out == "tempo=120 stop_step=300 ratio=1.0000\ntempo=60 stop_step=300 ratio=1.0000\n"
+        assert json.loads((out_dir / "sweep.json").read_text())["stop_steps"] == [300, 300]
+
     def test_unknown_syllable_is_usage_error(self, capsys, fixtures_dir, tmp_path):
         score = str(fixtures_dir / "musicxml" / "accidentals.musicxml")
         for command in ("simulate", "sweep"):
@@ -285,6 +319,13 @@ def _params_file(tmp_path, w1) -> str:
     return str(path)
 
 
+def _score_file(tmp_path, tempo: str) -> str:
+    """A native score of one one-beat note at ``tempo`` (JSON text)."""
+    path = tmp_path / "score.json"
+    path.write_text('{"tempo_bpm": %s, "notes": [{"syllable": "a", "phonemes": ["a"], "midi_pitch": 60, "duration_beats": 1}]}' % tempo)
+    return str(path)
+
+
 @pytest.mark.parametrize(
     "argv, message",
     [
@@ -295,14 +336,17 @@ def _params_file(tmp_path, w1) -> str:
         (lambda tmp: ["simulate", TEN, "--out", str(tmp / "out"), "--energy", "noisy_diagonal", "--noise-sigma", "1e308",
                       "--seed", "3"],
          "non-finite energy"),
+        (lambda tmp: ["sweep", TEN, "--tempos", "1e-320", "--out", str(tmp / "out")],
+         "frame budget of 1.0 beats at 1e-320 bpm is not finite"),
+        (lambda tmp: ["tokens", _score_file(tmp, "1e-320")], "frame budget of 1.0 beats at 1e-320 bpm is not finite"),
     ],
-    ids=["mis-shaped-params", "nan-params", "overflowing-noise"],
+    ids=["mis-shaped-params", "nan-params", "overflowing-noise", "sweep-overflowing-budget", "tokens-overflowing-budget"],
 )
 def test_library_rejection_is_one_line_usage_error(capsys, tmp_path, argv, message):
     """A value the library rejects (parameters that do not fit the
     encoder or are not finite, under the parameter file's path; noise
-    that overflows the energies) is one error line and exit 2, not a
-    traceback."""
+    that overflows the energies; a tempo whose frame budget overflows)
+    is one error line and exit 2, not a traceback."""
     code, out, err = run(capsys, *argv(tmp_path))
     assert (code, out, err) == (2, "", f"error: {message.format(tmp=tmp_path)}\n")
     assert not (tmp_path / "out").exists()
@@ -385,6 +429,15 @@ class TestTrainEncoder:
         assert len(losses) == 30
         # full-batch descent: the first epochs decrease monotonically
         assert all(b < a for a, b in zip(losses[:5], losses[1:6]))
+
+    def test_divergence_is_an_experiment_failure(self, capsys, tmp_path, monkeypatch):
+        def diverging(feats, targets, cfg):
+            raise TrainingDiverged(3)
+
+        monkeypatch.setattr(cli, "train_encoder", diverging)
+        code, out, err = run(capsys, "train-encoder", "--out", str(tmp_path / "p.txt"))
+        assert (code, out, err) == (1, "", "training diverged: non-finite loss at epoch 3\n")
+        assert not (tmp_path / "p.txt").exists()
 
     def test_deterministic(self, capsys, tmp_path):
         blobs = []

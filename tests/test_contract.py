@@ -9,7 +9,12 @@ that name another mechanism.  A duration or tempo, read by the native
 reader or given to the score types built directly, gets a non-finite
 number, an empty list, a bool, a string, 0 and -2.0, and a pitch gets a
 number outside 0-127, a bool and a string.  An alignment matrix also
-gets a (0, N) and a (T, 0) array, which no metric or export can read.
+gets a (0, N) and a (T, 0) array, which no metric or export can read,
+and frame targets a (2, 2) array.  The container rows give a metric a
+one-step alignment, the sequence readers a sequence without phonemes
+(or without tempos, or of another length than the tokens), ``Score`` no
+notes, ``frames_for`` a budget beyond the double range, ``TrainConfig``
+bad fields and ``train_encoder`` no data or targets of another length.
 ``QueryGenerator.energies`` is left out: the simulator's step loop
 calls it on rows it made itself, so it checks nothing per step.
 """
@@ -39,17 +44,21 @@ from duralign.attention import (
     normalize_energies,
     pure_lattice_occupancy,
 )
-from duralign.evaluate import compare_mechanisms, duration_error, tempo_sweep
+from duralign.evaluate import compare_mechanisms, duration_error, monotonicity_score, tempo_sweep, token_profile
 from duralign.gradcheck import central_difference
-from duralign.score import NoteEvent, Score, ScoreError, parse_score_native
+from duralign.score import NoteEvent, PhonemeEvent, PhonemeSequence, Score, ScoreError, frames_for, parse_score_native
 from duralign.simulate import SimConfig, SynthEnergySpec, phoneme_at_frame, run_simulation, synth_energies
 from duralign.tokens import (
     DurationEncoderParams,
     DurationFeatures,
+    TrainConfig,
     TransitionTokens,
+    duration_features,
     encoder_backward,
     encoder_forward,
     oracle_tokens,
+    tokens_to_csv,
+    train_encoder,
 )
 
 N = 4
@@ -188,6 +197,40 @@ SCORE_TYPES = [
 ]
 
 
+NO_PHONEMES = PhonemeSequence(events=())
+UNTIMED = PhonemeSequence(events=(PhonemeEvent("a", 60, 0.5, 50, 0),))  # built by hand: no tempo
+
+# (entry point, argument, what is wrong, call, message) of the containers and degenerate shapes
+CONTAINERS = [
+    ("monotonicity_score", "alignment", "one step", lambda: monotonicity_score(AlignmentMatrix(probs=ROWS[:1])),
+     "need at least two steps"),
+    ("oracle_tokens", "seq", "no phonemes", lambda: oracle_tokens(NO_PHONEMES), "empty durations: need at least one phoneme"),
+    ("run_simulation", "seq", "no phonemes", lambda: run_simulation(NO_PHONEMES, None, CFG),
+     "empty durations: need at least one phoneme"),
+    ("token_profile", "seq", "no phonemes", lambda: token_profile(NO_PHONEMES, Q), "sequence/token length mismatch"),
+    ("tokens_to_csv", "seq", "no phonemes", lambda: tokens_to_csv(NO_PHONEMES, Q), "sequence/token length mismatch"),
+    ("token_profile", "tokens", "one short", lambda: token_profile(UNTIMED, Q), "sequence/token length mismatch"),
+    ("tokens_to_csv", "tokens", "one short", lambda: tokens_to_csv(UNTIMED, Q), "sequence/token length mismatch"),
+    ("duration_features", "seq", "no tempo", lambda: duration_features(UNTIMED), r"phoneme 0 \('a'\) has no tempo_bpm"),
+    ("Score", "notes", "()", lambda: Score(default_tempo_bpm=120, notes=()), "score has no notes"),
+    ("frames_for", "default_bpm", 1e-320, lambda: frames_for(NoteEvent("la", ("l", "a"), 60, 1.0), 1e-320),
+     r"frame budget of 1\.0 beats at 1e-320 bpm is not finite"),
+    ("DurationFeatures", "rows", "zero duration_s", lambda: DurationFeatures(rows=[[0.0, 120.0, 1.0]]),
+     "non-positive duration_s"),
+    ("TrainConfig", "epochs", 0, lambda: TrainConfig(epochs=0), "epochs must be >= 1"),
+    ("TrainConfig", "epochs", 1.5, lambda: TrainConfig(epochs=1.5), "epochs must be an integer; got 1.5"),
+    ("TrainConfig", "batch_size", 0, lambda: TrainConfig(batch_size=0), "batch_size must be >= 1"),
+    ("TrainConfig", "seed", -1, lambda: TrainConfig(seed=-1), "seed must be >= 0"),
+    ("TrainConfig", "learning_rate", np.nan, lambda: TrainConfig(learning_rate=np.nan), "non-finite learning_rate"),
+    ("TrainConfig", "learning_rate", -1.0, lambda: TrainConfig(learning_rate=-1.0), "learning_rate must be >= 0"),
+    ("TrainConfig", "learning_rate", True, lambda: TrainConfig(learning_rate=True), "learning_rate must be a real number; got True"),
+    ("train_encoder", "feats", "no rows", lambda: train_encoder(DurationFeatures(rows=np.ones((0, 3))), Q, TrainConfig()),
+     "empty dataset"),
+    ("train_encoder", "targets", "one short", lambda: train_encoder(DurationFeatures(rows=np.ones((N + 1, 3))), Q, TrainConfig()),
+     "target/feature length mismatch"),
+]
+
+
 def spoiled(valid, bad):
     """``valid`` as nested lists with its first number replaced by ``bad``,
     or an empty list."""
@@ -211,6 +254,8 @@ def contract_rows():
         for bad, message in [(np.nan, "non-finite"), (np.inf, "non-finite"), (-np.inf, "non-finite"), (HUGE, "non-finite"),
                              (EMPTY, "empty"), (0, "non-positive"), (-3, "non-positive")]:
             yield entry, argument, bad, lambda call=call, d=spoiled(D, bad): call(d), f"^{message} durations"
+        yield entry, argument, "(2, 2)", lambda call=call: call([[1.0, 2.0], [3.0, 4.0]]), \
+            r"^durations must be one \(N,\) vector; got shape \(2, 2\)$"
     for entry, call, other in MECHANISMS:
         yield entry, "opts", other, lambda call=call, opts=StepOptions(mechanism=other): call(opts), \
             f"^{entry} got opts for mechanism '{other}'$"
@@ -223,6 +268,8 @@ def contract_rows():
         for bad, _, message in values:
             value = [] if bad is EMPTY else bad
             yield entry, field, bad, lambda build=build, value=value: build(value), f"^{message}$"
+    for entry, argument, bad, call, message in CONTAINERS:
+        yield entry, argument, bad, call, f"^{message}$"
 
 
 ROWS_OF_CONTRACT = list(contract_rows())
@@ -235,6 +282,6 @@ def row_id(row):
 
 @pytest.mark.parametrize("entry, argument, bad, call, message", ROWS_OF_CONTRACT, ids=[row_id(r) for r in ROWS_OF_CONTRACT])
 def test_entry_point_rejects_bad_input_by_name(entry, argument, bad, call, message):
-    error = ScoreError if entry in ("parse_score_native", "NoteEvent", "Score") else ValueError
+    error = ScoreError if entry in ("parse_score_native", "NoteEvent", "Score", "frames_for") else ValueError
     with pytest.raises(error, match=message):
         call()

@@ -192,19 +192,26 @@ class TestSharedEnergies:
             with pytest.raises(ValueError, match="read-only"):
                 rows[0, 0] = 1.0
 
-    def test_runs_in_a_scope_share_only_matching_energies(self, monkeypatch, adversarial_instances):
-        d, cfg = list(_sharing_cases(adversarial_instances))[0]
-        other = SimConfig(energy=cfg.energy, seed=cfg.seed + 1, fixed_steps=cfg.fixed_steps)
-        tokens = oracle_tokens(d)
-        alone = [run_simulation(d, tokens, c).alignment.probs for c in (cfg, other, cfg)]
-        built = _built_blocks(monkeypatch)
-        scope = simulate._SHARED.set([None])
-        try:
-            shared = [run_simulation(d, tokens, c).alignment.probs for c in (cfg, other, cfg)]
-        finally:
-            simulate._SHARED.reset(scope)
-        assert all(np.array_equal(a, b) for a, b in zip(shared, alone))
-        assert len(built) == 3 * 2  # the slot holds one source: seed, other seed, seed again
+    @pytest.mark.parametrize("case", [0, 20, 21])  # a frozen instance; the noisy diagonal; the query generator
+    def test_a_comparison_builds_one_energy_source(self, monkeypatch, adversarial_instances, case):
+        d, cfg = list(_sharing_cases(adversarial_instances))[case]
+        sources, scopes = [], []
+        init, inner = simulate._SynthRows.__init__, evaluate.run_simulation
+
+        def recording_init(self, *args):
+            sources.append(self)
+            init(self, *args)
+
+        def one_simulation(seq, toks, sim_cfg):
+            scopes.append(simulate._SHARED.get())
+            return inner(seq, toks, sim_cfg)
+
+        monkeypatch.setattr(simulate._SynthRows, "__init__", recording_init)
+        monkeypatch.setattr(evaluate, "run_simulation", one_simulation)
+        compare_mechanisms(d, oracle_tokens(d), cfg)
+        query = cfg.energy.mode == "from_query_generator"
+        assert [type(source) for source in sources] == ([] if query else [simulate._KeptRows])
+        assert scopes == [None if query else sources[0]] * 6
 
     def test_nothing_is_kept_after_a_comparison(self, monkeypatch, adversarial_instances):
         d, cfg = list(_sharing_cases(adversarial_instances))[0]
@@ -256,7 +263,7 @@ class TestTokenProfile:
     def test_oracle_is_antitone(self, ten_notes_text):
         score = parse_score_native(ten_notes_text)
         seq = expand_to_phonemes(score)
-        profile = token_profile(seq, oracle_tokens(seq), score=score)
+        profile = token_profile(seq, oracle_tokens(seq))
         assert profile["antitone"]
         assert profile["antitone_violations"] == 0
         assert len(profile["rows"]) == len(seq)

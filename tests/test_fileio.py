@@ -37,6 +37,17 @@ class TestAtomicWriteBytes:
         assert _leftovers(tmp_path, "x.csv") == []
 
 
+    def test_a_temporary_file_that_cannot_be_removed_leaves_the_first_error(self, tmp_path, monkeypatch):
+        def failing_unlink(path):
+            raise PermissionError(f"cannot remove {path}")
+
+        monkeypatch.setattr("duralign.fileio.os.unlink", failing_unlink)
+        with pytest.raises(RuntimeError, match="source failed"):
+            atomic_write_bytes(tmp_path / "x.csv", _failing_chunks())
+        assert not (tmp_path / "x.csv").exists()
+        assert [(tmp_path / name).read_bytes() for name in _leftovers(tmp_path, "x.csv")] == [b"new head\n"]
+
+
 def _traced_peak(path, t_steps):
     """Peak traced allocation while streaming a dense (t_steps, 256) alignment's CSV."""
     alignment = AlignmentMatrix(probs=np.random.default_rng(t_steps).random((t_steps, 256)))

@@ -85,6 +85,34 @@ def test_both_readers_reject_a_note_with_the_same_text(fixtures_dir, old, new, f
         parse_score_native(json.dumps(native))
 
 
+@pytest.mark.parametrize(
+    "old, new, message",
+    [
+        ("<step>C</step>", "", "pitch element missing step or octave"),
+        ('<sound tempo="60"/>', "<words>dolce</words>", "no tempo directive and no caller-supplied default"),
+        ("</note>", "", "malformed XML: mismatched tag: line 15, column 6"),
+        ("<divisions>1</divisions>", "<divisions>0</divisions>", "non-positive divisions"),
+        ("<duration>1</duration>", "", "note 0 has no duration"),
+        ("<pitch><step>C</step><octave>4</octave></pitch>", "", "note 0 has neither pitch nor rest"),
+    ],
+    ids=["pitch-without-step", "direction-without-tempo", "malformed-xml", "zero-divisions", "no-duration", "no-pitch-or-rest"],
+)
+def test_a_malformed_note_or_document_is_named(fixtures_dir, old, new, message):
+    xml = (fixtures_dir / "musicxml" / "single_note.musicxml").read_text()
+    assert xml.count(old) == 1
+    with pytest.raises(ScoreError, match=f"^{re.escape(message)}$"):
+        parse_musicxml(xml.replace(old, new))
+
+
+def test_a_score_without_notes_is_rejected():
+    xml = """<score-partwise><part id="P1"><measure number="1">
+      <attributes><divisions>1</divisions></attributes>
+      <direction><sound tempo="120"/></direction>
+    </measure></part></score-partwise>"""
+    with pytest.raises(ScoreError, match="^no notes found$"):
+        parse_musicxml(xml)
+
+
 def test_rest_becomes_sil(fixtures_dir):
     score = parse_musicxml((fixtures_dir / "musicxml" / "rest.musicxml").read_text())
     rests = [n for n in score.notes if n.pitch is None]

@@ -1,5 +1,5 @@
-"""tools/paired_bench.py: the verdict per metric, seed lists, and op times
-scaled to the reference speed pass by pass."""
+"""tools/paired_bench.py: the verdict per metric, seed lists, op times
+scaled to the reference speed pass by pass, and each run's commit."""
 
 import importlib.util
 from pathlib import Path
@@ -78,3 +78,24 @@ def test_op_times_are_scaled_pass_by_pass():
     record["op_ms"]["02.FA"] = [1.0]
     with pytest.raises(ValueError, match="1 times for 2 passes"):
         pb.op_label_ms(record, 0.002)
+
+
+FAKE_RUN = '''import json, sys
+from pathlib import Path
+args = dict(zip(sys.argv[1::2], sys.argv[2::2]))
+out = Path(".perfbench_out")
+out.mkdir(exist_ok=True)
+meta = {"python": "3", "numpy": "2", "git_sha": "unknown (not a git checkout)"}
+record = {"kernel_s": [0.002], "op_ms": {"00.FA": [1.0]}, "meta": meta}
+(out / f"BENCH_{args['--workload']}_seed{args['--seed']}_trace0.json").write_text(json.dumps(record))
+print(json.dumps({"correct": True, "attempted": 1, "failed": 0, "metrics": {"wall_s": {"value": 0.1}}}))
+'''
+
+
+def test_each_run_records_its_sides_commit(tmp_path):
+    (tmp_path / "perfbench").mkdir()
+    (tmp_path / "perfbench" / "run.py").write_text(FAKE_RUN)
+    (tmp_path / "perfbench" / "speed.py").write_text("REFERENCE_S = 0.002\n")
+    run = pb.run_once(tmp_path, "demo", 7, 1.0, "0123abcd")
+    assert run["meta"] == {"python": "3", "numpy": "2", "git_sha": "0123abcd"}
+    assert (run["exit"], run["correct"], run["metrics"], run["op_label_ms"]) == (0, True, {"wall_s": 0.1}, {"FA": 1.0})

@@ -1,5 +1,6 @@
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ from duralign.score import (
     NoteEvent,
     Score,
     ScoreError,
+    _split_frames,
     expand_to_phonemes,
     frames_for,
     parse_lexicon,
@@ -102,7 +104,7 @@ class TestParseNative:
         ],
     )
     def test_booleans_are_not_numbers(self, doc, message):
-        with pytest.raises(ScoreError, match=f"^{message}$"):
+        with pytest.raises(ScoreError, match=f"^{re.escape(message)}$"):
             parse_score_native(json.dumps(doc))
 
     @pytest.mark.parametrize("field", ["duration_beats", "tempo_bpm"])
@@ -111,6 +113,25 @@ class TestParseNative:
         notes[1][field] = math.nan
         with pytest.raises(ScoreError, match=f"^non-finite {field} at note 1$"):
             parse_score_native(json.dumps({"tempo_bpm": 120, "notes": notes}))
+
+    @pytest.mark.parametrize(
+        "doc, message",
+        [
+            ([{"tempo_bpm": 120}], "top level must be an object"),
+            ({"tempo_bpm": 120, "notes": []}, "'notes' must be a non-empty list"),
+            ({"tempo_bpm": 120, "notes": {"syllable": "a"}}, "'notes' must be a non-empty list"),
+            ({"tempo_bpm": 120, "notes": [{"syllable": "a", "midi_pitch": 60, "duration_beats": 1}, "a"]}, "note 1 is not an object"),
+        ],
+    )
+    def test_a_misshapen_document_is_named(self, doc, message):
+        with pytest.raises(ScoreError, match=f"^{re.escape(message)}$"):
+            parse_score_native(json.dumps(doc))
+
+    def test_a_pitched_sil_note_keeps_its_phoneme(self):
+        score = Score(default_tempo_bpm=120, notes=(note("", ("sil",), 60),))
+        text = serialize_native(score)
+        assert json.loads(text)["notes"][0]["phonemes"] == ["sil"]
+        assert parse_score_native(text) == score
 
     def test_round_trip_identity(self):
         doc = {
@@ -166,7 +187,29 @@ class TestFramesFor:
                 assert b < a
 
 
+    @pytest.mark.parametrize(
+        "beats, tempo, default, message",
+        [
+            (1e308, None, 1e-10, "frame budget of 1e+308 beats at 1e-10 bpm is not finite"),
+            (1.0, 1e-320, 120, "frame budget of 1.0 beats at 1e-320 bpm is not finite"),
+            (1.0, None, 1e-320, "frame budget of 1.0 beats at 1e-320 bpm is not finite"),
+        ],
+    )
+    def test_an_overflowing_budget_is_rejected_by_name(self, beats, tempo, default, message):
+        with pytest.raises(ScoreError, match=f"^{re.escape(message)}$"):
+            frames_for(note(beats=beats, tempo=tempo), default)
+
+    def test_expansion_rejects_an_overflowing_budget(self):
+        with pytest.raises(ScoreError, match=r"^frame budget of 1\.0 beats at 1e-320 bpm is not finite$"):
+            expand_to_phonemes(Score(default_tempo_bpm=1e-320, notes=(note(),)))
+
+
 class TestExpansion:
+    def test_each_phoneme_carries_its_notes_tempo(self):
+        score = Score(default_tempo_bpm=120, notes=(note(), note("a", ("a",), tempo=60)))
+        seq = expand_to_phonemes(score)
+        assert [ev.tempo_bpm for ev in seq.events] == [120.0, 120.0, 60.0]
+
     def test_equal_split(self):
         score = Score(default_tempo_bpm=60, notes=(note(beats=1.0),))
         seq = expand_to_phonemes(score)
@@ -219,6 +262,16 @@ class TestExpansion:
             budgets = sum(frames_for(n, 120) for n in notes)
             assert sum(seq.target_frames) == budgets
 
+    def test_explicit_phonemes_that_disagree_with_the_lexicon_split_equally(self):
+        lex = parse_lexicon("ni n:0.2 i:0.8\n")
+        score = Score(default_tempo_bpm=60, notes=(note(phonemes=("n", "i", "y")),))
+        seq = expand_to_phonemes(score, lex)
+        assert (seq.phonemes, seq.target_frames) == (("n", "i", "y"), (33, 33, 34))
+
+    def test_rounding_that_starves_the_last_share_steals_from_the_largest(self):
+        # shares 2, 2, 2 of a budget of 5 leave -1: the first two largest give one frame each
+        assert _split_frames(5, [0.3, 0.3, 0.3, 0.1]) == ([1, 1, 2, 1], False)
+
     def test_every_phoneme_at_least_one_frame(self):
         skew = NoteEvent("s", ("a", "b"), 60, 0.02, tempo_bpm=60)  # 2-frame budget
         score = Score(default_tempo_bpm=60, notes=(skew,))
@@ -240,3 +293,15 @@ class TestLexicon:
     def test_bad_ratio_format(self):
         with pytest.raises(ScoreError):
             parse_lexicon("bad a\n")
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("ni n:0.5 i:0.5\nbad\n", "lexicon line 2: expected syllable and phonemes"),
+            ("bad a:half\n", "lexicon line 1: bad ratio 'half'"),
+            ("bad a:0 b:1\n", "lexicon line 1: non-positive ratio"),
+        ],
+    )
+    def test_a_malformed_line_is_named(self, text, message):
+        with pytest.raises(ScoreError, match=f"^{re.escape(message)}$"):
+            parse_lexicon(text)

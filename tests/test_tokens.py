@@ -345,6 +345,13 @@ class TestSerialization:
         with pytest.raises(ValueError, match=f"^bad parameter file: {message}$"):
             params_from_text("\n".join(edit(param_lines())))
 
+    @pytest.mark.parametrize("line, name", [(2, "w1"), (7, "b1"), (11, "b2")])
+    def test_a_row_of_the_wrong_length_names_its_array(self, line, name):
+        lines = param_lines()
+        lines[line] += " 0.5"
+        with pytest.raises(ValueError, match=f"^bad row length in '{name}'$"):
+            params_from_text("\n".join(lines))
+
     def test_a_truncated_array_is_named(self):
         with pytest.raises(ValueError, match="^truncated array 'w2'$"):
             params_from_text("\n".join(param_lines()[:9]))
@@ -371,7 +378,7 @@ def test_duration_features_from_score():
         notes=(NoteEvent("ni", ("n", "i"), 62, 1.0), NoteEvent("a", ("a",), 64, 1.0, tempo_bpm=60)),
     )
     seq = expand_to_phonemes(score)
-    feats = duration_features(seq, score=score)
+    feats = duration_features(seq)
     assert feats.rows.shape == (3, 3)
     assert feats.rows[0, 1] == 120.0
     assert feats.rows[2, 1] == 60.0

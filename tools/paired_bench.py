@@ -104,9 +104,11 @@ def op_label_ms(record: dict, reference: float) -> dict[str, float]:
     return {label: statistics.median(values) for label, values in labels.items()}
 
 
-def run_once(root: Path, workload: str, seed: int, seconds: float) -> dict:
+def run_once(root: Path, workload: str, seed: int, seconds: float, sha: str) -> dict:
     """One untraced benchmark run: its last output line, plus the scaled
-    op times and versions from the record it writes."""
+    op times and versions from the record it writes, with ``sha``, the
+    side's commit, as the ``git_sha`` of its meta (a run in a ``git
+    archive`` export cannot read its own)."""
     cmd = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
            "--seconds", str(seconds), "--trace", "0"]
     proc = subprocess.run(cmd, cwd=root, capture_output=True, text=True)
@@ -122,7 +124,7 @@ def run_once(root: Path, workload: str, seed: int, seconds: float) -> dict:
         "failed": result["failed"],
         "metrics": {name: m["value"] for name, m in result["metrics"].items()},
         "op_label_ms": op_label_ms(record, reference_s(root)),
-        "meta": record["meta"],
+        "meta": {**record["meta"], "git_sha": sha},
     }
 
 
@@ -190,7 +192,8 @@ def main(argv=None) -> int:
                 order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
                 runs = {}
                 for side in order:
-                    runs[side] = run_once(parent_dir if side == "parent" else change_dir, workload, seed, seconds)
+                    root, sha = (parent_dir, parent["sha"]) if side == "parent" else (change_dir, change["sha"])
+                    runs[side] = run_once(root, workload, seed, seconds, sha)
                     print(f"{workload} seed={seed} {side}: "
                           + json.dumps(runs[side].get("metrics") or runs[side].get("error")), flush=True)
                 pairs.append({"seed": seed, "first": order[0], **runs})
