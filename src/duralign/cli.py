@@ -6,9 +6,10 @@ Every command is deterministic given its full flag set (including
 0 success, 1 experiment-level failure (an underflowed alignment
 included), 2 usage or I/O error and every input the library rejects
 (a ValueError, ``ScoreError`` included): a malformed score, lexicon or
-parameter file, and a flag value the library cannot serve.  ``main``
-alone maps an error to its exit code and prints it as one ``error:``
-line.
+JSON parameter file, and a flag value the library cannot serve.  Every
+usage error is a ValueError too, and a rejected file's contents are
+reported under the file's path.  ``main`` alone maps an error to its
+exit code and prints it as one ``error:`` line.
 """
 
 from __future__ import annotations
@@ -50,24 +51,20 @@ EXIT_EXPERIMENT_FAILED = 1
 EXIT_USAGE = 2
 
 
-class CliError(Exception):
-    """Usage or I/O error; maps to exit code 2."""
-
-
 @contextmanager
 def _usage_errors(prefix: str):
     """Prefix a library's rejection of a file's contents (a ValueError) with the file's path."""
     try:
         yield
     except ValueError as exc:
-        raise CliError(f"{prefix}{exc}") from exc
+        raise ValueError(f"{prefix}{exc}") from exc
 
 
 def _read_file(path: str) -> str:
     try:
         return Path(path).read_text(encoding="utf-8")
     except OSError as exc:
-        raise CliError(f"cannot read {path}: {exc}") from exc
+        raise ValueError(f"cannot read {path}: {exc}") from exc
 
 
 def _load_score(path: str, fmt: str, default_tempo: float | None):
@@ -140,7 +137,7 @@ def cmd_tokens(args) -> int:
         toks = oracle_tokens(seq, args.q_min)
     else:
         if args.params is None:
-            raise CliError("--source encoder requires --params")
+            raise ValueError("--source encoder requires --params")
         text = _read_file(args.params)
         with _usage_errors(f"{args.params}: "):
             params = params_from_text(text)
@@ -179,7 +176,7 @@ def cmd_sweep(args) -> int:
     try:
         tempos = [float(t) for t in args.tempos.split(",") if t]
     except ValueError as exc:
-        raise CliError(f"bad --tempos value: {args.tempos}") from exc
+        raise ValueError(f"bad --tempos value: {args.tempos}") from exc
     cfg = _sim_config(args)
     sweep = evaluate.tempo_sweep(score, tempos, cfg, lexicon=lexicon, q_min=args.q_min)
     out = Path(args.out)
@@ -291,7 +288,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (CliError, ValueError, OSError) as exc:  # a ValueError: the library rejected its input
+    except (ValueError, OSError) as exc:  # a usage error, an unreadable file or an input the library rejected
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except FloatingPointError as exc:  # an alignment normalizer underflowed mid-run

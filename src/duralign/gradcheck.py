@@ -138,10 +138,10 @@ def check_encoder_gradients(seed: int, step: float = FD_STEP) -> GradCheckResult
 
 def check_lattice_gradients(seed: int, step: float = FD_STEP) -> GradCheckResult:
     """Check lattice reverse-mode gradients (dq and dE) with a
-    duration-matching occupancy loss.  The finite differences run as two
-    passes of the one forward loop, ``attention._forward``, over
-    phoneme-first columns: one over the perturbed tokens, one over the
-    perturbed energies."""
+    duration-matching occupancy loss.  The finite differences perturb
+    the packed point (tokens, then energies) and run every perturbed
+    point through one pass of the one forward loop,
+    ``attention._forward``, as phoneme-first columns."""
     seed = tokens._checked("seed", seed, int, least=0)
     rng = np.random.default_rng(seed)
     n, t_steps = 4, 12
@@ -156,15 +156,12 @@ def check_lattice_gradients(seed: int, step: float = FD_STEP) -> GradCheckResult
     dq, d_energies = attention.lattice_backward(mat, d_probs)
     analytic = _pack(dq, d_energies)
 
-    def loss(qs: np.ndarray, es: np.ndarray) -> np.ndarray:
-        """Occupancy loss of each of B sequences, (B, N) tokens over (B, T, N)
-        energies, stepped as phoneme-first columns."""
-        rows, _ = attention._forward(qs.T, np.ascontiguousarray(es.transpose(1, 2, 0)), opts)
+    def loss(points: np.ndarray) -> np.ndarray:
+        """Occupancy loss of each of B packed points, split into (B, N) tokens
+        and (B, T, N) energies and stepped as phoneme-first columns."""
+        es = points[:, n:].reshape(len(points), t_steps, n)
+        rows, _ = attention._forward(points[:, :n].T, np.ascontiguousarray(es.transpose(1, 2, 0)), opts)
         return np.sum((rows.sum(axis=0) - d[:, None]) ** 2, axis=0)
 
-    numeric = _pack(
-        central_difference(lambda qs: loss(qs, np.broadcast_to(energies, (len(qs),) + energies.shape)), q0, step),
-        central_difference(lambda es: loss(np.broadcast_to(q0, (len(es), n)), es), energies, step),
-    )
-    err = relative_error(analytic, numeric)
+    err = relative_error(analytic, central_difference(loss, _pack(q0, energies), step))
     return GradCheckResult("lattice", err, step, err <= 1e-5)

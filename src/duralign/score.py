@@ -129,8 +129,10 @@ def _round_half_away(x: float) -> int:
 
 def frames_for(note: NoteEvent, default_bpm: float) -> int:
     """Frame budget of a note: round(beats * 60/bpm / FRAME_SHIFT_S),
-    minimum 1.  A budget beyond the double range is rejected by name."""
-    bpm = note.effective_tempo(default_bpm)
+    minimum 1.  ``default_bpm`` is checked by the rule ``Score`` applies
+    to its default tempo, and a budget beyond the double range is
+    rejected by name."""
+    bpm = note.effective_tempo(_positive_number("default_bpm", "default tempo", default_bpm))
     frames = note.duration_beats * 60.0 / bpm / FRAME_SHIFT_S
     if not math.isfinite(frames):
         raise ScoreError(f"frame budget of {note.duration_beats} beats at {bpm} bpm is not finite")

@@ -4,8 +4,9 @@ The token q_n is the probability of advancing past phoneme n at each
 decoder step.  Two sources are provided: a closed-form oracle (geometric
 dwell, q = 1/d) and a small trainable encoder mapping duration features
 to (0, 1) with hand-rolled analytic gradients.  The encoder's
-parameters go to text and back in one fixed layout: ``params_from_text``
-reads what ``params_to_text`` writes and rejects anything else by name.
+parameters go to text and back as one JSON object, read and written by
+the standard library's ``json``: ``params_from_text`` reads what
+``params_to_text`` writes and rejects anything else by the key at fault.
 
 The module also owns the package's private input checks, so each rule
 is written once: ``_checked`` for settings fields and scalar arguments,
@@ -15,6 +16,7 @@ is written once: ``_checked`` for settings fields and scalar arguments,
 from __future__ import annotations
 
 import io
+import json
 import math
 from dataclasses import dataclass
 
@@ -328,64 +330,46 @@ def tokens_to_csv(seq: PhonemeSequence, tokens: TransitionTokens) -> str:
     return out.getvalue()
 
 
-_ARRAYS = ("w1", "b1", "w2", "b2")  # a parameter file's arrays, in file order
+_KEYS = ("w1", "b1", "w2", "b2")  # a parameter file's keys, in the order it is written
 
 
 def params_to_text(params: DurationEncoderParams) -> str:
-    """Flat text: ``hidden H``, then each array of ``_ARRAYS`` as a
-    ``name rows cols`` header and its rows (vectors and ``b2`` as one
-    row), every entry as ``repr(float)``, which reads back exactly."""
-    lines = [f"hidden {params.hidden}"]
-    for name in _ARRAYS:
-        arr = np.atleast_2d(getattr(params, name))
-        lines.append(f"{name} {arr.shape[0]} {arr.shape[1]}")
-        lines.extend(" ".join(repr(float(v)) for v in row) for row in arr)
-    return "\n".join(lines) + "\n"
+    """One JSON object of the four arrays; ``json`` writes each float as its ``repr``, which reads back exactly."""
+    return json.dumps({key: np.asarray(getattr(params, key), dtype=np.float64).tolist() for key in _KEYS}) + "\n"
 
 
-def _value(text: str, name: str) -> float:
-    """One entry of array ``name`` in a parameter file."""
-    try:
-        return float(text)
-    except ValueError:
-        raise ValueError(f"bad value '{text}' in '{name}'") from None
+def _unique_keys(pairs: list) -> dict:
+    """``json.loads``'s object hook: the object, if no key is repeated."""
+    keys = [key for key, _ in pairs]
+    for key in keys:
+        if keys.count(key) > 1:
+            raise ValueError(f"bad parameter file: repeated key '{key}'")
+    return dict(pairs)
 
 
-def _misplaced(line: str, want: str, head: str, seen) -> str:
-    """What is wrong with the array header ``line`` where ``want`` belongs."""
-    name = line.split()[0]
-    if name == want.split()[0]:
-        return f"expected '{want}' under '{head}', got '{line}'"
-    if name in seen:
-        return f"repeated array '{name}'"
-    return f"array '{name}' out of order" if name in _ARRAYS else f"unknown array '{name}'"
+def _fits(value, shape: tuple) -> bool:
+    """Whether a JSON value is nested lists of ``shape`` over ints and floats (not bools)."""
+    if not shape:
+        return isinstance(value, (int, float)) and not isinstance(value, bool)
+    return isinstance(value, list) and len(value) == shape[0] and all(_fits(v, shape[1:]) for v in value)
 
 
 def params_from_text(text: str) -> DurationEncoderParams:
-    """Read the layout ``params_to_text`` writes, and only that: ``hidden
-    H``, then ``w1 H 3``, ``b1 1 H``, ``w2 1 H`` and ``b2 1 1``, each
-    header line followed by its rows, in that order and nothing after
-    (blank lines are skipped).  Any other array header is rejected by
-    the name of its array, and any text after ``b2`` is rejected."""
-    lines = [ln for ln in text.splitlines() if ln.strip()]
-    head = lines[0] if lines else ""
-    size = head.split()
-    if len(size) != 2 or size[0] != "hidden" or not size[1].isdecimal() or int(size[1]) == 0:
-        raise ValueError(f"bad hidden header: '{head}'")
-    h, pos, arrays = int(size[1]), 1, {}
-    for name, (rows, cols) in zip(_ARRAYS, ((h, 3), (1, h), (1, h), (1, 1))):
-        if pos == len(lines):
-            raise ValueError(f"bad parameter file: missing '{name}'")
-        want = f"{name} {rows} {cols}"
-        if lines[pos].split() != want.split():
-            raise ValueError(f"bad parameter file: {_misplaced(lines[pos], want, head, arrays)}")
-        if pos + rows >= len(lines):
-            raise ValueError(f"truncated array '{name}'")
-        data = [[_value(v, name) for v in ln.split()] for ln in lines[pos + 1 : pos + 1 + rows]]
-        if any(len(row) != cols for row in data):
-            raise ValueError(f"bad row length in '{name}'")
-        arrays[name] = np.array(data)
-        pos += 1 + rows
-    if pos < len(lines):
-        raise ValueError(f"bad parameter file: text after 'b2': '{lines[pos]}'")
-    return DurationEncoderParams(w1=arrays["w1"], b1=arrays["b1"][0], w2=arrays["w2"][0], b2=float(arrays["b2"][0, 0]))
+    """Read the JSON object ``params_to_text`` writes, and nothing else: the four
+    keys once each, H = ``len(b1)`` >= 1 and each value of its shape for that H.
+    Other JSON is rejected by the key at fault, a non-finite entry by ``_floats``."""
+    obj = json.loads(text, object_pairs_hook=_unique_keys)
+    if not isinstance(obj, dict):
+        raise ValueError(f"bad parameter file: expected one JSON object, got {type(obj).__name__}")
+    for key in (*obj, *_KEYS):  # each key in the file, then each key it must hold
+        if (key in obj) != (key in _KEYS):
+            raise ValueError(f"bad parameter file: {'unknown' if key in obj else 'missing'} key '{key}'")
+    h = len(obj["b1"]) if isinstance(obj["b1"], list) else 0
+    if h == 0:
+        raise ValueError("bad parameter file: 'b1' must be a non-empty list")
+    for key, shape in zip(_KEYS, ((h, 3), (h,), (h,), ())):
+        if not _fits(obj[key], shape):
+            words = " rows of ".join(map(str, shape)) + " numbers" if shape else "a number"
+            raise ValueError(f"bad parameter file: '{key}' must be {words}")
+    w1, b1, w2, b2 = (_floats("encoder parameter", obj[key]) for key in _KEYS)
+    return DurationEncoderParams(w1=w1, b1=b1, w2=w2, b2=float(b2))

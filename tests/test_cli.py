@@ -1,4 +1,5 @@
 import json
+import re
 
 import numpy as np
 import pytest
@@ -19,6 +20,7 @@ from duralign.tokens import (
     tokens_to_csv,
 )
 from test_gradients import corrupt_every_backward
+from test_tokens import BAD_PARAMETER_FILES
 
 TEN = "tests/fixtures/ten_notes.json"
 
@@ -110,7 +112,7 @@ class TestTokens:
         assert "--params" in err
 
     def test_encoder_source_with_trained_params(self, capsys, fixtures_dir, tmp_path):
-        params = tmp_path / "params.txt"
+        params = tmp_path / "params.json"
         code, _, _ = run(capsys, "train-encoder", "--epochs", "5", "--out", str(params))
         assert code == 0
         code, out, _ = run(
@@ -314,7 +316,7 @@ def test_out_of_range_flag_is_usage_error(capsys, tmp_path, argv, message):
 
 def _params_file(tmp_path, w1) -> str:
     """An encoder parameter file of four hidden units with first layer ``w1``."""
-    path = tmp_path / "params.txt"
+    path = tmp_path / "params.json"
     path.write_text(params_to_text(DurationEncoderParams(w1, np.zeros(4), np.zeros(4), 0.0)))
     return str(path)
 
@@ -330,9 +332,9 @@ def _score_file(tmp_path, tempo: str) -> str:
     "argv, message",
     [
         (lambda tmp: ["tokens", TEN, "--source", "encoder", "--params", _params_file(tmp, np.zeros((4, 2)))],
-         "{tmp}/params.txt: bad parameter file: expected 'w1 4 3' under 'hidden 4', got 'w1 4 2'"),
+         "{tmp}/params.json: bad parameter file: 'w1' must be 4 rows of 3 numbers"),
         (lambda tmp: ["tokens", TEN, "--source", "encoder", "--params", _params_file(tmp, np.full((4, 3), np.nan))],
-         "{tmp}/params.txt: non-finite encoder parameter"),
+         "{tmp}/params.json: non-finite encoder parameter"),
         (lambda tmp: ["simulate", TEN, "--out", str(tmp / "out"), "--energy", "noisy_diagonal", "--noise-sigma", "1e308",
                       "--seed", "3"],
          "non-finite energy"),
@@ -350,6 +352,16 @@ def test_library_rejection_is_one_line_usage_error(capsys, tmp_path, argv, messa
     code, out, err = run(capsys, *argv(tmp_path))
     assert (code, out, err) == (2, "", f"error: {message.format(tmp=tmp_path)}\n")
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("text, message", [row[1:] for row in BAD_PARAMETER_FILES], ids=[row[0] for row in BAD_PARAMETER_FILES])
+def test_bad_parameter_file_is_one_line_usage_error(capsys, tmp_path, text, message):
+    """Every parameter file the reader rejects is one error line under the file's path and exit 2."""
+    path = tmp_path / "params.json"
+    path.write_text(text)
+    code, out, err = run(capsys, "tokens", TEN, "--source", "encoder", "--params", str(path))
+    assert (code, out, err.count("\n")) == (2, "", 1)
+    assert re.match(f"^error: {re.escape(str(path))}: {message}", err)
 
 
 @pytest.mark.parametrize("command", ["simulate", "sweep"])
@@ -407,7 +419,7 @@ class TestGradcheck:
 
 class TestTrainEncoder:
     def test_writes_params_and_history(self, capsys, tmp_path):
-        params_path = tmp_path / "params.txt"
+        params_path = tmp_path / "params.json"
         hist_path = tmp_path / "loss.csv"
         code, out, _ = run(
             capsys,

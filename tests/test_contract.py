@@ -13,8 +13,12 @@ gets a (0, N) and a (T, 0) array, which no metric or export can read,
 and frame targets a (2, 2) array.  The container rows give a metric a
 one-step alignment, the sequence readers a sequence without phonemes
 (or without tempos, or of another length than the tokens), ``Score`` no
-notes, ``frames_for`` a budget beyond the double range, ``TrainConfig``
-bad fields and ``train_encoder`` no data or targets of another length.
+notes, ``frames_for`` a budget beyond the double range or a default
+tempo that is not a positive number, ``TrainConfig`` bad fields and
+``train_encoder`` no data or targets of another length.  The readers of
+outside text (``parse_lexicon``, ``parse_musicxml``, and
+``expand_to_phonemes`` on a syllable the lexicon lacks) get malformed
+text and name what is wrong with it.
 ``QueryGenerator.energies`` is left out: the simulator's step loop
 calls it on rows it made itself, so it checks nothing per step.
 """
@@ -46,7 +50,18 @@ from duralign.attention import (
 )
 from duralign.evaluate import compare_mechanisms, duration_error, monotonicity_score, tempo_sweep, token_profile
 from duralign.gradcheck import central_difference
-from duralign.score import NoteEvent, PhonemeEvent, PhonemeSequence, Score, ScoreError, frames_for, parse_score_native
+from duralign.musicxml import parse_musicxml
+from duralign.score import (
+    NoteEvent,
+    PhonemeEvent,
+    PhonemeSequence,
+    Score,
+    ScoreError,
+    expand_to_phonemes,
+    frames_for,
+    parse_lexicon,
+    parse_score_native,
+)
 from duralign.simulate import SimConfig, SynthEnergySpec, phoneme_at_frame, run_simulation, synth_energies
 from duralign.tokens import (
     DurationEncoderParams,
@@ -73,6 +88,10 @@ ENCODER = DurationEncoderParams.init(0, hidden=4)
 FEATURES = DurationFeatures(rows=np.ones((N, 3)))
 CACHED = lattice_forward(Q, ROWS, keep_cache=True)
 CFG = SimConfig(fixed_steps=3)
+XML = """<score-partwise><part id="P1"><measure number="1">
+<attributes><divisions>1</divisions></attributes><direction><sound tempo="60"/></direction>
+<note><pitch><step>C</step><octave>4</octave></pitch><duration>1</duration><lyric><text>a</text></lyric></note>
+</measure></part></score-partwise>"""
 SCORE = {"tempo_bpm": 120, "notes": [{"syllable": "la", "phonemes": ["l", "a"], "midi_pitch": 60, "duration_beats": 1}]}
 
 EMPTY = "empty"
@@ -215,6 +234,37 @@ CONTAINERS = [
     ("Score", "notes", "()", lambda: Score(default_tempo_bpm=120, notes=()), "score has no notes"),
     ("frames_for", "default_bpm", 1e-320, lambda: frames_for(NoteEvent("la", ("l", "a"), 60, 1.0), 1e-320),
      r"frame budget of 1\.0 beats at 1e-320 bpm is not finite"),
+    ("frames_for", "default_bpm", -120.0, lambda: frames_for(NoteEvent("la", ("l", "a"), 60, 1.0), -120.0),
+     "non-positive default tempo"),
+    ("frames_for", "default_bpm", 0.0, lambda: frames_for(NoteEvent("la", ("l", "a"), 60, 1.0), 0.0),
+     "non-positive default tempo"),
+    ("frames_for", "default_bpm", "x", lambda: frames_for(NoteEvent("la", ("l", "a"), 60, 1.0), "x"),
+     "default_bpm is not a number"),
+    ("frames_for", "default_bpm", np.nan, lambda: frames_for(NoteEvent("la", ("l", "a"), 60, 1.0), np.nan),
+     "non-finite default_bpm"),
+    # the readers of outside text: a lexicon, a MusicXML document and a syllable the lexicon lacks
+    ("parse_lexicon", "text", "no phonemes", lambda: parse_lexicon("la"), "lexicon line 1: expected syllable and phonemes"),
+    ("parse_lexicon", "text", "no ratio", lambda: parse_lexicon("la l"), "lexicon line 1: expected phoneme:ratio, got 'l'"),
+    ("parse_lexicon", "text", "word ratio", lambda: parse_lexicon("la l:half a:0.5"), "lexicon line 1: bad ratio 'half'"),
+    ("parse_lexicon", "text", "zero ratio", lambda: parse_lexicon("la l:0 a:1"), "lexicon line 1: non-positive ratio"),
+    ("parse_lexicon", "text", "ratio sum", lambda: parse_lexicon("# c\n\nla l:0.5 a:0.25"),
+     "lexicon line 3: ratios sum to 0.75, expected 1"),
+    ("parse_musicxml", "text", "not XML", lambda: parse_musicxml("<score-partwise>"), "malformed XML: .+"),
+    ("parse_musicxml", "text", "other root", lambda: parse_musicxml("<score-timewise/>"),
+     "expected score-partwise root, got 'score-timewise'"),
+    ("parse_musicxml", "text", "word tempo", lambda: parse_musicxml(XML.replace('tempo="60"', 'tempo="fast"')),
+     "<sound tempo> is not a number: 'fast'"),
+    ("parse_musicxml", "text", "zero divisions", lambda: parse_musicxml(XML.replace(">1</divisions>", ">0</divisions>")),
+     "non-positive divisions"),
+    ("parse_musicxml", "text", "no notes", lambda: parse_musicxml(re.sub("<note>.*</note>", "", XML, flags=re.S)),
+     "no notes found"),
+    ("parse_musicxml", "default_tempo_bpm", None, lambda: parse_musicxml(XML.replace('<sound tempo="60"/>', "")),
+     "no tempo directive and no caller-supplied default"),
+    ("parse_musicxml", "default_tempo_bpm", -1.0, lambda: parse_musicxml(XML.replace('<sound tempo="60"/>', ""), -1.0),
+     "non-positive default tempo"),
+    ("expand_to_phonemes", "score", "unknown syllable",
+     lambda: expand_to_phonemes(Score(default_tempo_bpm=120, notes=(NoteEvent("zz", (), 60, 1.0),)), {"la": (("l", 1.0),)}),
+     "unknown syllable 'zz' at note 0 with no explicit phonemes"),
     ("DurationFeatures", "rows", "zero duration_s", lambda: DurationFeatures(rows=[[0.0, 120.0, 1.0]]),
      "non-positive duration_s"),
     ("TrainConfig", "epochs", 0, lambda: TrainConfig(epochs=0), "epochs must be >= 1"),
@@ -282,6 +332,7 @@ def row_id(row):
 
 @pytest.mark.parametrize("entry, argument, bad, call, message", ROWS_OF_CONTRACT, ids=[row_id(r) for r in ROWS_OF_CONTRACT])
 def test_entry_point_rejects_bad_input_by_name(entry, argument, bad, call, message):
-    error = ScoreError if entry in ("parse_score_native", "NoteEvent", "Score", "frames_for") else ValueError
+    score_readers = ("parse_score_native", "NoteEvent", "Score", "frames_for", "parse_lexicon", "parse_musicxml", "expand_to_phonemes")
+    error = ScoreError if entry in score_readers else ValueError
     with pytest.raises(error, match=message):
         call()

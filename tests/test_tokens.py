@@ -1,4 +1,5 @@
 import hashlib
+import json
 import math
 
 import numpy as np
@@ -269,92 +270,73 @@ def test_sigmoid_equals_the_two_branch_form():
     assert np.array_equal(tokens_mod._sigmoid(x), expected, equal_nan=True)
 
 
-def param_lines(hidden=4):
-    return params_to_text(DurationEncoderParams.init(0, hidden=hidden)).splitlines()
+def param_text(edit=None) -> str:
+    """A hidden-4 parameter file, its JSON object first given to ``edit``."""
+    obj = json.loads(params_to_text(DurationEncoderParams.init(0, hidden=4)))
+    return json.dumps(edit(obj) if edit else obj)
+
+
+# (id, parameter-file text, the message it is rejected with: what json says, or the key at fault)
+BAD_PARAMETER_FILES = [
+    ("empty", "", "Expecting value"),
+    ("not-json", "garbage\n", "Expecting value"),
+    ("truncated", param_text()[:-20], "Expecting "),
+    ("text-after", param_text() + " {}", "Extra data"),
+    ("old-layout", "hidden 4\nw1 2 2\n1.0 2.0\n", "Expecting value"),
+    ("array", "[1.0, 2.0]", "bad parameter file: expected one JSON object, got list$"),
+    ("unknown", param_text(lambda o: {**o, "zz": 0.5}), "bad parameter file: unknown key 'zz'$"),
+    ("missing", param_text(lambda o: {k: v for k, v in o.items() if k != "b2"}), "bad parameter file: missing key 'b2'$"),
+    ("repeated", param_text()[:-1] + ', "b1": [1, 2, 3, 4]}', "bad parameter file: repeated key 'b1'$"),
+    ("empty-b1", param_text(lambda o: {**o, "b1": []}), "bad parameter file: 'b1' must be a non-empty list$"),
+    ("number-b1", param_text(lambda o: {**o, "b1": 4}), "bad parameter file: 'b1' must be a non-empty list$"),
+    ("w1-columns", param_text(lambda o: {**o, "w1": [[0.5, 0.5]] * 4}), "bad parameter file: 'w1' must be 4 rows of 3 numbers$"),
+    ("w1-ragged", param_text(lambda o: {**o, "w1": o["w1"][:3] + [[0.5] * 4]}),
+     "bad parameter file: 'w1' must be 4 rows of 3 numbers$"),
+    ("w1-flat", param_text(lambda o: {**o, "w1": [0.5] * 12}), "bad parameter file: 'w1' must be 4 rows of 3 numbers$"),
+    ("longer-b1", param_text(lambda o: {**o, "b1": o["b1"] + [0.5]}), "bad parameter file: 'w1' must be 5 rows of 3 numbers$"),
+    ("short-w2", param_text(lambda o: {**o, "w2": o["w2"][:3]}), "bad parameter file: 'w2' must be 4 numbers$"),
+    ("list-b2", param_text(lambda o: {**o, "b2": [o["b2"]]}), "bad parameter file: 'b2' must be a number$"),
+    ("bool-w1", param_text(lambda o: {**o, "w1": [[True, 0.5, 0.5]] + o["w1"][1:]}),
+     "bad parameter file: 'w1' must be 4 rows of 3 numbers$"),
+    ("string-b1", param_text(lambda o: {**o, "b1": ["0.5"] + o["b1"][1:]}), "bad parameter file: 'b1' must be 4 numbers$"),
+    ("null-w2", param_text(lambda o: {**o, "w2": o["w2"][:3] + [None]}), "bad parameter file: 'w2' must be 4 numbers$"),
+    ("bool-b2", param_text(lambda o: {**o, "b2": False}), "bad parameter file: 'b2' must be a number$"),
+    ("nan", param_text(lambda o: {**o, "w1": [[math.nan, 0.5, 0.5]] + o["w1"][1:]}), "non-finite encoder parameter$"),
+    ("infinity", param_text(lambda o: {**o, "b2": -math.inf}), "non-finite encoder parameter$"),
+    ("int-beyond-the-doubles", param_text(lambda o: {**o, "w2": o["w2"][:3] + [10**400]}), "non-finite encoder parameter$"),
+    ("number-beyond-the-doubles", param_text(lambda o: {**o, "b2": "@"}).replace('"@"', "1e400"), "non-finite encoder parameter$"),
+]
 
 
 class TestSerialization:
-    @pytest.mark.parametrize("hidden", [1, 5, 16])
+    @pytest.mark.parametrize("hidden", [1, 2, 5, 16, 33])
     def test_round_trip_exact(self, hidden):
         params = DurationEncoderParams.init(9, hidden=hidden)
+        # the largest doubles, the smallest subnormal and negative zeros
+        params.w1[0] = [1.7976931348623157e308, -1.7976931348623157e308, 5e-324]
+        params.b1[0], params.w2[-1], params.b2 = -0.0, -5e-324, -0.0
         text = params_to_text(params)
         back = params_from_text(text)
-        assert np.array_equal(back.w1, params.w1)
-        assert np.array_equal(back.b1, params.b1)
-        assert np.array_equal(back.w2, params.w2)
-        assert back.b2 == params.b2
+        for key in ("w1", "b1", "w2", "b2"):
+            assert np.array_equal(getattr(back, key), getattr(params, key))
+        assert np.signbit(back.b1[0]) and math.copysign(1.0, back.b2) == -1.0
         assert params_to_text(back) == text
 
-    @pytest.mark.parametrize("text", ["", "garbage\n", "hidden 4\nw1 2 2\n1.0 2.0\n"])
-    def test_malformed_rejected(self, text):
-        with pytest.raises(ValueError):
-            params_from_text(text)
-
-    @pytest.mark.parametrize("header", ["w1 4 x", "w1 -1 3", "w1 4", "w1 4 3 1", "w1 0 3", "w1 4 0", "w1 00 3"])
-    def test_bad_array_header_is_named(self, header):
-        text = params_to_text(DurationEncoderParams.init(0, hidden=4)).replace("w1 4 3", header)
-        with pytest.raises(ValueError, match=f"^bad parameter file: expected 'w1 4 3' under 'hidden 4', got '{header}'$"):
-            params_from_text(text)
-
-    @pytest.mark.parametrize("header", ["b2 0 1", "b2 2 1", "b2 1 2"])
-    def test_b2_must_be_one_by_one(self, header):
-        text = params_to_text(DurationEncoderParams.init(0, hidden=4)).replace("b2 1 1", header) + "0.5\n"
-        with pytest.raises(ValueError, match=f"^bad parameter file: expected 'b2 1 1' under 'hidden 4', got '{header}'$"):
-            params_from_text(text)
-
-    @pytest.mark.parametrize("line, name", [(2, "w1"), (-1, "b2")])
-    def test_a_non_number_entry_names_its_array(self, line, name):
-        lines = param_lines()
-        lines[line] = " ".join(["abc"] + lines[line].split()[1:])
-        with pytest.raises(ValueError, match=f"^bad value 'abc' in '{name}'$"):
-            params_from_text("\n".join(lines))
-
-    @pytest.mark.parametrize("hidden", ["9", "3"])
-    def test_hidden_header_must_match_the_arrays(self, hidden):
-        text = params_to_text(DurationEncoderParams.init(0, hidden=4)).replace("hidden 4", f"hidden {hidden}")
-        match = f"^bad parameter file: expected 'w1 {hidden} 3' under 'hidden {hidden}', got 'w1 4 3'$"
-        with pytest.raises(ValueError, match=match):
-            params_from_text(text)
-
-    @pytest.mark.parametrize("hidden", ["x", "4 4", "0", "-4", ""])
-    def test_a_bad_hidden_header_is_named(self, hidden):
-        text = params_to_text(DurationEncoderParams.init(0, hidden=4)).replace("hidden 4", f"hidden {hidden}")
-        with pytest.raises(ValueError, match=f"^bad hidden header: 'hidden {hidden}'$"):
-            params_from_text(text)
+    def test_the_file_is_one_json_object(self):
+        params = DurationEncoderParams.init(0, hidden=2)
+        assert json.loads(params_to_text(params)) == {
+            "w1": params.w1.tolist(), "b1": params.b1.tolist(), "w2": params.w2.tolist(), "b2": params.b2,
+        }
 
     def test_arrays_of_different_hidden_sizes_are_rejected(self):
         params = DurationEncoderParams(np.zeros((4, 3)), np.zeros(4), np.zeros(5), 0.0)
-        with pytest.raises(ValueError, match="^bad parameter file: expected 'w2 1 4' under 'hidden 4', got 'w2 1 5'$"):
+        with pytest.raises(ValueError, match="^bad parameter file: 'w2' must be 4 numbers$"):
             params_from_text(params_to_text(params))
 
-    # the lines of a hidden-4 file: 0 hidden, 1-5 w1, 6-7 b1, 8-9 w2, 10-11 b2
-    @pytest.mark.parametrize(
-        "edit, message",
-        [
-            (lambda ls: ls[:10] + ["zz 1 1", "0.5"] + ls[10:], "unknown array 'zz'"),
-            (lambda ls: ls + ["zz 1 1", "0.5"], "text after 'b2': 'zz 1 1'"),
-            (lambda ls: ls[:8] + ls[6:8] + ls[8:], "repeated array 'b1'"),
-            (lambda ls: ls + ls[6:8], "text after 'b2': 'b1 1 4'"),
-            (lambda ls: ls[:6] + ls[8:10] + ls[6:8] + ls[10:], "array 'w2' out of order"),
-            (lambda ls: ls + ["0.5"], "text after 'b2': '0.5'"),
-            (lambda ls: ls[:10], "missing 'b2'"),
-        ],
-        ids=["unknown", "unknown-after-b2", "repeated", "repeated-after-b2", "out-of-order", "trailing-row", "missing"],
-    )
-    def test_only_the_written_layout_is_read(self, edit, message):
-        with pytest.raises(ValueError, match=f"^bad parameter file: {message}$"):
-            params_from_text("\n".join(edit(param_lines())))
-
-    @pytest.mark.parametrize("line, name", [(2, "w1"), (7, "b1"), (11, "b2")])
-    def test_a_row_of_the_wrong_length_names_its_array(self, line, name):
-        lines = param_lines()
-        lines[line] += " 0.5"
-        with pytest.raises(ValueError, match=f"^bad row length in '{name}'$"):
-            params_from_text("\n".join(lines))
-
-    def test_a_truncated_array_is_named(self):
-        with pytest.raises(ValueError, match="^truncated array 'w2'$"):
-            params_from_text("\n".join(param_lines()[:9]))
+    @pytest.mark.parametrize("text, message", [row[1:] for row in BAD_PARAMETER_FILES], ids=[row[0] for row in BAD_PARAMETER_FILES])
+    def test_only_the_written_layout_is_read(self, text, message):
+        with pytest.raises(ValueError, match=f"^{message}"):
+            params_from_text(text)
 
     def test_csv_layout(self):
         score = Score(default_tempo_bpm=60, notes=(NoteEvent("ni", ("n", "i"), 62, 1.0),))
