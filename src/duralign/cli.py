@@ -7,8 +7,9 @@ Every command is deterministic given its full flag set (including
 included), 2 usage or I/O error and every input the library rejects
 (a ValueError, ``ScoreError`` included): a malformed score, lexicon or
 JSON parameter file, and a flag value the library cannot serve.  Every
-usage error is a ValueError too, and a rejected file's contents are
-reported under the file's path.  ``main`` alone maps an error to its
+usage error is a ValueError too.  ``_load`` alone reads a file, and
+reports an unreadable file, text that is not UTF-8 and a rejection of
+its text under the file's path.  ``main`` alone maps an error to its
 exit code and prints it as one ``error:`` line.
 """
 
@@ -16,7 +17,6 @@ from __future__ import annotations
 
 import argparse
 import sys
-from contextlib import contextmanager
 from pathlib import Path
 
 import numpy as np
@@ -51,36 +51,26 @@ EXIT_EXPERIMENT_FAILED = 1
 EXIT_USAGE = 2
 
 
-@contextmanager
-def _usage_errors(prefix: str):
-    """Prefix a library's rejection of a file's contents (a ValueError) with the file's path."""
+def _load(path: str, read):
+    """``read`` of the file's UTF-8 text; each error names the file's path."""
     try:
-        yield
-    except ValueError as exc:
-        raise ValueError(f"{prefix}{exc}") from exc
-
-
-def _read_file(path: str) -> str:
-    try:
-        return Path(path).read_text(encoding="utf-8")
+        data = Path(path).read_bytes()
     except OSError as exc:
         raise ValueError(f"cannot read {path}: {exc}") from exc
+    try:
+        return read(data.decode("utf-8"))
+    except ValueError as exc:  # a UnicodeDecodeError or the reader's rejection
+        raise ValueError(f"{path}: {exc}") from exc
 
 
 def _load_score(path: str, fmt: str, default_tempo: float | None):
-    text = _read_file(path)
-    with _usage_errors(f"{path}: "):
-        if fmt == "musicxml":
-            return parse_musicxml(text, default_tempo)
-        return parse_score_native(text)
+    if fmt == "musicxml":
+        return _load(path, lambda text: parse_musicxml(text, default_tempo))
+    return _load(path, parse_score_native)
 
 
 def _load_lexicon(path: str | None):
-    if path is None:
-        return None
-    text = _read_file(path)
-    with _usage_errors(f"{path}: "):
-        return parse_lexicon(text)
+    return None if path is None else _load(path, parse_lexicon)
 
 
 def _add_score_args(p: argparse.ArgumentParser):
@@ -138,10 +128,7 @@ def cmd_tokens(args) -> int:
     else:
         if args.params is None:
             raise ValueError("--source encoder requires --params")
-        text = _read_file(args.params)
-        with _usage_errors(f"{args.params}: "):
-            params = params_from_text(text)
-            toks = encoder_forward(params, duration_features(seq))
+        toks = _load(args.params, lambda text: encoder_forward(params_from_text(text), duration_features(seq)))
     csv = tokens_to_csv(seq, toks)
     if args.out:
         atomic_write_text(args.out, csv)

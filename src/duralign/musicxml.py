@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from xml.etree import ElementTree as ET
 
-from .score import REST, SIL_PHONEME, NoteEvent, Score, ScoreError
+from .score import REST, NoteEvent, Score, ScoreError, _note
 
 __all__ = ["parse_musicxml"]
 
@@ -54,9 +54,10 @@ def parse_musicxml(text: str, default_tempo_bpm: float | None = None) -> Score:
 
     duration_beats = note duration / divisions; pitch converts
     step/octave/alter to MIDI; lyric text becomes the syllable (phoneme
-    resolution happens later via the lexicon); rests become rest notes
-    with the silence phoneme.  A sound tempo directive is required
-    unless ``default_tempo_bpm`` is given.
+    resolution happens later via the lexicon); a rest becomes a rest
+    note.  A sound tempo directive is required unless
+    ``default_tempo_bpm`` is given.  ``NoteEvent`` and ``Score`` own
+    every other rule, the rest's silence phoneme and no notes included.
     """
     try:
         root = ET.fromstring(text)
@@ -97,8 +98,6 @@ def parse_musicxml(text: str, default_tempo_bpm: float | None = None) -> Score:
             elif el.tag == "note":
                 notes.append(_parse_note(el, divisions, score_tempo, current_tempo, len(notes)))
 
-    if not notes:
-        raise ScoreError("no notes found")
     if score_tempo is None:
         if default_tempo_bpm is None:
             raise ScoreError("no tempo directive and no caller-supplied default")
@@ -135,7 +134,7 @@ def _parse_note(
         override = current_tempo
 
     if el.find("rest") is not None:
-        syllable, phonemes, pitch = "", (SIL_PHONEME,), REST
+        syllable, pitch = "", REST
     else:
         pitch_el = el.find("pitch")
         if pitch_el is None:
@@ -144,8 +143,5 @@ def _parse_note(
         lyric_el = el.find("lyric/text")
         if lyric_el is None or not (lyric_el.text or "").strip():
             raise ScoreError(f"pitched note {index} has no lyric text")
-        syllable, phonemes = lyric_el.text.strip(), ()
-    try:
-        return NoteEvent(syllable, phonemes, pitch, duration_beats=beats, tempo_bpm=override)
-    except ScoreError as exc:
-        raise ScoreError(f"{exc} at note {index}") from None
+        syllable = lyric_el.text.strip()
+    return _note(index, syllable, (), pitch, beats, override)

@@ -2,7 +2,8 @@
 
 A score is an ordered list of notes; each note carries a syllable, an
 optional explicit phoneme list, a MIDI pitch (or None for a rest), a
-duration in beats, and an optional per-note tempo override.  Expansion
+duration in beats, and an optional per-note tempo override; the types
+own every rule of them, and the readers only convert text.  Expansion
 converts the score to a flat phoneme sequence with per-phoneme frame
 targets on a frame grid fixed at 10 ms (``FRAME_SHIFT_S``).
 """
@@ -59,11 +60,11 @@ def _positive_number(name: str, noun: str, value) -> float:
 class NoteEvent:
     """One note: a syllable sung at a pitch for a duration in beats.
 
-    ``phonemes`` may be empty, in which case the syllable must be
-    resolvable through the lexicon at expansion time.  ``pitch`` is a
-    MIDI note number (an int in 0-127), or None for a rest.  The readers
-    leave every rule of a note to this type and add the note's index to
-    its message.
+    ``phonemes`` (non-empty strings) may be empty, in which case the
+    syllable must be resolvable through the lexicon at expansion time.
+    ``pitch`` is a MIDI note number (an int in 0-127), or None for a rest,
+    which holds the silence phoneme if given no phonemes.  The readers
+    build notes through ``_note``, which adds the note's index.
     """
 
     syllable: str
@@ -73,8 +74,14 @@ class NoteEvent:
     tempo_bpm: float | None = None  # per-note override; None = score default
 
     def __post_init__(self):
+        if not isinstance(self.syllable, str):
+            raise ScoreError("syllable is not a string")
+        if not isinstance(self.phonemes, tuple) or not all(isinstance(ph, str) and ph for ph in self.phonemes):
+            raise ScoreError("phonemes is not a tuple of non-empty strings")
         if self.pitch is not None and (type(self.pitch) is not int or not 0 <= self.pitch <= 127):
             raise ScoreError(f"invalid pitch {self.pitch!r}")
+        if self.pitch is REST and not self.phonemes:
+            object.__setattr__(self, "phonemes", (SIL_PHONEME,))
         object.__setattr__(self, "duration_beats", _positive_number("duration_beats", "duration", self.duration_beats))
         if self.tempo_bpm is not None:
             object.__setattr__(self, "tempo_bpm", _positive_number("tempo_bpm", "tempo", self.tempo_bpm))
@@ -94,6 +101,16 @@ class Score:
         object.__setattr__(self, "default_tempo_bpm", tempo)
         if not self.notes:
             raise ScoreError("score has no notes")
+        if not isinstance(self.title, (str, type(None))):
+            raise ScoreError("title is not a string")
+
+
+def _note(index: int, *fields) -> NoteEvent:
+    """A reader's ``NoteEvent(*fields)``; a rejection names the note's index."""
+    try:
+        return NoteEvent(*fields)
+    except ScoreError as exc:
+        raise ScoreError(f"{exc} at note {index}") from None
 
 
 @dataclass(frozen=True)
@@ -154,18 +171,19 @@ def parse_score_native(text: str) -> Score:
 
     Top-level object: ``{"tempo_bpm": number, "title": optional string,
     "notes": [{"syllable", "phonemes"?, "midi_pitch", "duration_beats",
-    "tempo_bpm"?}]}``.  ``midi_pitch`` null means a rest.
+    "tempo_bpm"?}]}``.  ``midi_pitch`` null means a rest.  The reader
+    checks the document's shape and passes each value on unconverted.
     """
     try:
         doc = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:  # nesting too deep for the decoder
         raise ScoreError(f"malformed JSON: {exc}") from exc
     if not isinstance(doc, dict):
         raise ScoreError("top level must be an object")
     tempo = _require(doc, "tempo_bpm", "score")
     raw_notes = _require(doc, "notes", "score")
-    if not isinstance(raw_notes, list) or not raw_notes:
-        raise ScoreError("'notes' must be a non-empty list")
+    if not isinstance(raw_notes, list):
+        raise ScoreError("'notes' must be a list")
     notes = []
     for i, raw in enumerate(raw_notes):
         if not isinstance(raw, dict):
@@ -173,15 +191,10 @@ def parse_score_native(text: str) -> Score:
         syllable = _require(raw, "syllable", f"note {i}")
         pitch = _require(raw, "midi_pitch", f"note {i}")
         beats = _require(raw, "duration_beats", f"note {i}")
-        phonemes = tuple(raw.get("phonemes") or ())
-        if pitch is None and not phonemes:
-            phonemes = (SIL_PHONEME,)
-        try:
-            notes.append(
-                NoteEvent(str(syllable), phonemes, pitch, duration_beats=beats, tempo_bpm=raw.get("tempo_bpm"))
-            )
-        except ScoreError as exc:
-            raise ScoreError(f"{exc} at note {i}") from None
+        phonemes = raw.get("phonemes", [])
+        if not isinstance(phonemes, list):
+            raise ScoreError(f"'phonemes' must be a list at note {i}")
+        notes.append(_note(i, syllable, tuple(phonemes), pitch, beats, raw.get("tempo_bpm")))
     return Score(default_tempo_bpm=tempo, notes=tuple(notes), title=doc.get("title"))
 
 
@@ -200,9 +213,7 @@ def serialize_native(score: Score) -> str:
     doc["notes"] = []
     for note in score.notes:
         raw: dict = {"syllable": note.syllable}
-        if note.phonemes and note.phonemes != (SIL_PHONEME,):
-            raw["phonemes"] = list(note.phonemes)
-        elif note.phonemes == (SIL_PHONEME,) and note.pitch is not None:
+        if note.phonemes != ((SIL_PHONEME,) if note.pitch is REST else ()):  # what the reader would fill in
             raw["phonemes"] = list(note.phonemes)
         raw["midi_pitch"] = note.pitch
         raw["duration_beats"] = _num(note.duration_beats)
@@ -219,7 +230,7 @@ def serialize_native(score: Score) -> str:
 def parse_lexicon(text: str) -> dict[str, tuple[tuple[str, float], ...]]:
     """Parse a lexicon: one ``syllable phoneme:ratio ...`` entry per line.
 
-    Ratios of each entry must sum to 1 within 1e-6.  Blank lines and
+    Ratios of each entry must be finite, above zero and sum to 1 within 1e-6.  Blank lines and
     ``#`` comments are ignored.
     """
     table: dict[str, tuple[tuple[str, float], ...]] = {}
@@ -239,6 +250,8 @@ def parse_lexicon(text: str) -> dict[str, tuple[tuple[str, float], ...]]:
                 ratio = float(ratio_s)
             except ValueError:
                 raise ScoreError(f"lexicon line {lineno}: bad ratio '{ratio_s}'") from None
+            if not math.isfinite(ratio):
+                raise ScoreError(f"lexicon line {lineno}: non-finite ratio")
             if ratio <= 0:
                 raise ScoreError(f"lexicon line {lineno}: non-positive ratio")
             entries.append((ph, ratio))
@@ -281,16 +294,10 @@ def _phonemes_and_ratios(
     lexicon: dict[str, tuple[tuple[str, float], ...]] | None,
     note_index: int,
 ) -> tuple[list[str], list[float]]:
-    if note.pitch is REST and note.phonemes in ((), (SIL_PHONEME,)):
-        return [SIL_PHONEME], [1.0]
-    if lexicon and note.syllable in lexicon:
-        entry = lexicon[note.syllable]
-        phonemes = [ph for ph, _ in entry]
-        if note.phonemes and list(note.phonemes) != phonemes:
-            # Explicit phonemes win; lexicon ratios only apply when they agree.
-            return list(note.phonemes), [1.0 / len(note.phonemes)] * len(note.phonemes)
-        return phonemes, [r for _, r in entry]
-    if note.phonemes:
+    entry = (lexicon or {}).get(note.syllable)
+    if entry is not None and note.phonemes in ((), tuple(ph for ph, _ in entry)):
+        return [ph for ph, _ in entry], [r for _, r in entry]
+    if note.phonemes:  # explicit phonemes win; lexicon ratios only apply when they agree
         n = len(note.phonemes)
         return list(note.phonemes), [1.0 / n] * n
     raise ScoreError(

@@ -358,7 +358,10 @@ def params_from_text(text: str) -> DurationEncoderParams:
     """Read the JSON object ``params_to_text`` writes, and nothing else: the four
     keys once each, H = ``len(b1)`` >= 1 and each value of its shape for that H.
     Other JSON is rejected by the key at fault, a non-finite entry by ``_floats``."""
-    obj = json.loads(text, object_pairs_hook=_unique_keys)
+    try:
+        obj = json.loads(text, object_pairs_hook=_unique_keys)
+    except RecursionError as exc:  # nesting too deep for the decoder
+        raise ValueError(f"bad parameter file: {exc}") from exc
     if not isinstance(obj, dict):
         raise ValueError(f"bad parameter file: expected one JSON object, got {type(obj).__name__}")
     for key in (*obj, *_KEYS):  # each key in the file, then each key it must hold

@@ -50,6 +50,20 @@ class TestParse:
         assert code == 2
         assert "cannot read" in err
 
+    def test_undecodable_file_is_usage_error_under_its_path(self, capsys, tmp_path):
+        bad = tmp_path / "bad.json"
+        bad.write_bytes(b'{"title": "\xff"}')
+        code, out, err = run(capsys, "parse", str(bad))
+        assert (code, out) == (2, "")
+        assert err == f"error: {bad}: 'utf-8' codec can't decode byte 0xff in position 11: invalid start byte\n"
+
+    def test_deeply_nested_file_is_usage_error(self, capsys, tmp_path):
+        bad = tmp_path / "deep.json"
+        bad.write_text("[" * 100_000)
+        code, out, err = run(capsys, "parse", str(bad))
+        assert (code, out, err.count("\n")) == (2, "", 1)
+        assert err.startswith(f"error: {bad}: malformed JSON: maximum recursion depth exceeded")
+
     def test_malformed_score_is_usage_error(self, capsys, tmp_path):
         bad = tmp_path / "bad.json"
         bad.write_text("{}")

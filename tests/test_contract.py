@@ -18,7 +18,8 @@ tempo that is not a positive number, ``TrainConfig`` bad fields and
 ``train_encoder`` no data or targets of another length.  The readers of
 outside text (``parse_lexicon``, ``parse_musicxml``, and
 ``expand_to_phonemes`` on a syllable the lexicon lacks) get malformed
-text and name what is wrong with it.
+text and name what is wrong with it; the native reader and the score
+types also get a syllable, phonemes or a title that are not strings.
 ``QueryGenerator.energies`` is left out: the simulator's step loop
 calls it on rows it made itself, so it checks nothing per step.
 """
@@ -93,6 +94,12 @@ XML = """<score-partwise><part id="P1"><measure number="1">
 <note><pitch><step>C</step><octave>4</octave></pitch><duration>1</duration><lyric><text>a</text></lyric></note>
 </measure></part></score-partwise>"""
 SCORE = {"tempo_bpm": 120, "notes": [{"syllable": "la", "phonemes": ["l", "a"], "midi_pitch": 60, "duration_beats": 1}]}
+
+
+def note_doc(**fields) -> dict:
+    """``SCORE`` with its one note's ``fields`` replaced."""
+    return {**SCORE, "notes": [{**SCORE["notes"][0], **fields}]}
+
 
 EMPTY = "empty"
 HUGE = 10**400  # an int that no double holds
@@ -249,6 +256,26 @@ CONTAINERS = [
     ("parse_lexicon", "text", "zero ratio", lambda: parse_lexicon("la l:0 a:1"), "lexicon line 1: non-positive ratio"),
     ("parse_lexicon", "text", "ratio sum", lambda: parse_lexicon("# c\n\nla l:0.5 a:0.25"),
      "lexicon line 3: ratios sum to 0.75, expected 1"),
+    ("parse_lexicon", "text", "nan ratio", lambda: parse_lexicon("la l:nan a:nan"), "lexicon line 1: non-finite ratio"),
+    ("parse_lexicon", "text", "inf ratio", lambda: parse_lexicon("la l:inf a:0.5"), "lexicon line 1: non-finite ratio"),
+    ("parse_score_native", "text", "deep nesting", lambda: parse_score_native("[" * 100_000),
+     "malformed JSON: maximum recursion depth exceeded.*"),
+    ("parse_score_native", "phonemes", "a string", lambda: parse_score_native(json.dumps(note_doc(phonemes="abc"))),
+     "'phonemes' must be a list at note 0"),
+    ("parse_score_native", "phonemes", "[1, 2]", lambda: parse_score_native(json.dumps(note_doc(phonemes=[1, 2]))),
+     "phonemes is not a tuple of non-empty strings at note 0"),
+    ("parse_score_native", "phonemes", "['']", lambda: parse_score_native(json.dumps(note_doc(phonemes=[""]))),
+     "phonemes is not a tuple of non-empty strings at note 0"),
+    ("parse_score_native", "syllable", None, lambda: parse_score_native(json.dumps(note_doc(syllable=None))),
+     "syllable is not a string at note 0"),
+    ("parse_score_native", "title", 5, lambda: parse_score_native(json.dumps({**SCORE, "title": 5})), "title is not a string"),
+    ("NoteEvent", "syllable", None, lambda: NoteEvent(None, ("l", "a"), 60, 1.0), "syllable is not a string"),
+    ("NoteEvent", "phonemes", "('',)", lambda: NoteEvent("la", ("",), 60, 1.0), "phonemes is not a tuple of non-empty strings"),
+    ("NoteEvent", "phonemes", "(1,)", lambda: NoteEvent("la", (1,), 60, 1.0), "phonemes is not a tuple of non-empty strings"),
+    ("NoteEvent", "phonemes", "a list", lambda: NoteEvent("la", ["l", "a"], 60, 1.0),
+     "phonemes is not a tuple of non-empty strings"),
+    ("Score", "title", 5, lambda: Score(default_tempo_bpm=120, notes=(NoteEvent("la", ("l", "a"), 60, 1.0),), title=5),
+     "title is not a string"),
     ("parse_musicxml", "text", "not XML", lambda: parse_musicxml("<score-partwise>"), "malformed XML: .+"),
     ("parse_musicxml", "text", "other root", lambda: parse_musicxml("<score-timewise/>"),
      "expected score-partwise root, got 'score-timewise'"),
@@ -257,7 +284,7 @@ CONTAINERS = [
     ("parse_musicxml", "text", "zero divisions", lambda: parse_musicxml(XML.replace(">1</divisions>", ">0</divisions>")),
      "non-positive divisions"),
     ("parse_musicxml", "text", "no notes", lambda: parse_musicxml(re.sub("<note>.*</note>", "", XML, flags=re.S)),
-     "no notes found"),
+     "score has no notes"),
     ("parse_musicxml", "default_tempo_bpm", None, lambda: parse_musicxml(XML.replace('<sound tempo="60"/>', "")),
      "no tempo directive and no caller-supplied default"),
     ("parse_musicxml", "default_tempo_bpm", -1.0, lambda: parse_musicxml(XML.replace('<sound tempo="60"/>', ""), -1.0),

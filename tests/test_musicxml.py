@@ -109,7 +109,7 @@ def test_a_score_without_notes_is_rejected():
       <attributes><divisions>1</divisions></attributes>
       <direction><sound tempo="120"/></direction>
     </measure></part></score-partwise>"""
-    with pytest.raises(ScoreError, match="^no notes found$"):
+    with pytest.raises(ScoreError, match="^score has no notes$"):
         parse_musicxml(xml)
 
 

@@ -118,8 +118,8 @@ class TestParseNative:
         "doc, message",
         [
             ([{"tempo_bpm": 120}], "top level must be an object"),
-            ({"tempo_bpm": 120, "notes": []}, "'notes' must be a non-empty list"),
-            ({"tempo_bpm": 120, "notes": {"syllable": "a"}}, "'notes' must be a non-empty list"),
+            ({"tempo_bpm": 120, "notes": []}, "score has no notes"),
+            ({"tempo_bpm": 120, "notes": {"syllable": "a"}}, "'notes' must be a list"),
             ({"tempo_bpm": 120, "notes": [{"syllable": "a", "midi_pitch": 60, "duration_beats": 1}, "a"]}, "note 1 is not an object"),
         ],
     )
@@ -214,6 +214,15 @@ class TestExpansion:
         score = Score(default_tempo_bpm=60, notes=(note(beats=1.0),))
         seq = expand_to_phonemes(score)
         assert seq.target_frames == (50, 50)
+
+    def test_a_hand_built_rest_holds_sil(self):
+        rest = NoteEvent("", (), None, 1.0)
+        assert rest.phonemes == ("sil",)
+        score = Score(default_tempo_bpm=120, notes=(rest,))
+        seq = expand_to_phonemes(score)
+        assert (seq.phonemes, seq.target_frames, seq.events[0].duration_s) == (("sil",), (50,), 0.5)
+        assert json.loads(serialize_native(score))["notes"] == [{"syllable": "", "midi_pitch": None, "duration_beats": 1}]
+        assert parse_score_native(serialize_native(score)) == score
 
     def test_sil_note(self):
         score = Score(default_tempo_bpm=120, notes=(note("", ("sil",), None, 0.5),))

@@ -283,6 +283,7 @@ BAD_PARAMETER_FILES = [
     ("truncated", param_text()[:-20], "Expecting "),
     ("text-after", param_text() + " {}", "Extra data"),
     ("old-layout", "hidden 4\nw1 2 2\n1.0 2.0\n", "Expecting value"),
+    ("deep-nesting", "[" * 100_000, "bad parameter file: maximum recursion depth exceeded"),
     ("array", "[1.0, 2.0]", "bad parameter file: expected one JSON object, got list$"),
     ("unknown", param_text(lambda o: {**o, "zz": 0.5}), "bad parameter file: unknown key 'zz'$"),
     ("missing", param_text(lambda o: {k: v for k, v in o.items() if k != "b2"}), "bad parameter file: missing key 'b2'$"),
