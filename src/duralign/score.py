@@ -230,8 +230,8 @@ def serialize_native(score: Score) -> str:
 def parse_lexicon(text: str) -> dict[str, tuple[tuple[str, float], ...]]:
     """Parse a lexicon: one ``syllable phoneme:ratio ...`` entry per line.
 
-    Ratios of each entry must be finite, above zero and sum to 1 within 1e-6.  Blank lines and
-    ``#`` comments are ignored.
+    Ratios of each entry must be finite, above zero and sum to 1
+    within 1e-6.  Blank lines and ``#`` comments are ignored.
     """
     table: dict[str, tuple[tuple[str, float], ...]] = {}
     for lineno, line in enumerate(text.splitlines(), start=1):
