@@ -15,13 +15,13 @@ move/stay weights:
 
 The kernel is built once per run: weights, scratch buffers and the
 window at every offset, so a step's mask is a slice and a step writes
-its row in place.  ``lattice_forward``, ``simulate.run_simulation`` and
-``gdca_step``/``fa_step``/``la_step`` all step through it; those three
-check their input and reject options that name another mechanism.  The
-simulator offers each block of rows to ``_Kernel.la_block``, which steps
-it whole only for an la kernel.  With q = 0.5 everywhere the gdca weights
-are exactly half the fa weights (including the absorbing boundary), so
-the two mechanisms agree bit-for-bit after normalization.
+its row in place.  Its one stepping loop, ``_Kernel.run``, steps a block
+of rows from the row before it (la's whole block at once where it can);
+``lattice_forward``, ``simulate.run_simulation`` and ``gdca_step``/
+``fa_step``/``la_step`` all call it, and those three check their input
+and reject options that name another mechanism.  With q = 0.5 everywhere
+the gdca weights are exactly half the fa weights (including the absorbing
+boundary), so the two mechanisms agree bit-for-bit after normalization.
 
 Every public type and function holds one sequence: tokens are one (N,)
 vector and an alignment one (T, N) matrix.  ``lattice_forward`` and the
@@ -262,13 +262,11 @@ class _Kernel:
     """One run's step kernel, for rows of ``shape``: (N,), or (N, B)
     columns for a batch, with raw tokens ``q`` laid out the same way.
     Its constructor is the one place that dispatches on the mechanism,
-    which it reads from ``opts``; a caller offers a (T, N) block of rows
-    to ``la_block``, which steps it at once for an la kernel (``stay`` is
-    None) and leaves a kernel with weights to ``step``."""
+    which it reads from ``opts``; ``run`` is the one stepping loop."""
 
     def __init__(self, q: np.ndarray | None, opts: StepOptions, shape: tuple):
         n = shape[0]
-        self.stay = None  # la has no weights
+        self.stay = None
         if opts.mechanism == "fa":  # gdca at q = 0.5, doubled: move 1, stay 1, final stay 2
             move, stay = _shift_weights(np.full(shape, 0.5), "prose")
             move, self.stay = 2.0 * move, 2.0 * stay
@@ -276,54 +274,58 @@ class _Kernel:
             if q is None or len(q) != n:
                 raise ValueError("gdca needs tokens matching the phoneme count")
             move, self.stay = _shift_weights(q, opts.convention)
-        if self.stay is not None:
-            self.move1 = move[1:]
-            self.a = np.empty(shape)
-            self.a1 = self.a[1:]
-            self.head = np.empty((n - 1,) + shape[1:])
+        if self.stay is not None:  # la's stay is None; the scratch rows are a, the pre-content vector, and head
+            self.move1, self.a, self.head = move[1:], np.empty(shape), np.empty((n - 1,) + shape[1:])
         self.table = _window_table(n, opts) if opts.filter_enabled else None
         self.lo, self.hi = n - 1, 2 * n - 1  # center c's mask is table[lo - c : hi - c]
 
-    def step(self, p: np.ndarray, e: np.ndarray, out: np.ndarray):
-        """One step from ``p`` with energies ``e`` into ``out`` (not ``p``;
-        also the scratch row), by the plain expressions' ufuncs in their
-        order.  The pre-content vector goes to the kernel's scratch row
-        ``a``; returns the normalizer, one per column."""
-        if self.table is not None:  # never batched
-            c = p.argmax()
-            mask = self.table[self.lo - c : self.hi - c]
-        if self.stay is None:  # la: the energies, masked with the filter, are the alignment
-            b = e if self.table is None else multiply(mask, e, out)
-        else:
-            if self.table is not None:
-                p = multiply(p, mask, out)
-            multiply(self.stay, p, self.a)
-            add(self.a1, multiply(self.move1, p[:-1], self.head), self.a1)
-            b = multiply(self.a, e, out)
-        s = add.reduce(b, axis=0)
-        low = s < 1e-300
-        if low.any() if low.ndim else low:  # a scalar's .any() costs a microsecond
-            raise FloatingPointError("alignment normalizer underflowed; inconsistent filter/energy combination")
-        divide(b, s, out)
-        return s
+    def run(self, rows: np.ndarray, energies) -> tuple[np.ndarray, int]:
+        """Step ``rows[1:]`` from ``rows[0]``, each row by the plain expressions'
+        ufuncs in their order, with ``energies``: an array of rows, or an iterator
+        that yields a step's row once the row before it is written.  An la kernel
+        over an array first tries the whole block.  Returns the normalizers, one
+        per column, and how many rows were stepped before one fell below 1e-300."""
+        table, lo, hi, stay = self.table, self.lo, self.hi, self.stay
+        # la over one sequence: the whole block at once, if it is row-major, so that numpy sums each row as it sums one alone
+        if stay is None and rows.ndim == 2 and isinstance(energies, np.ndarray) and energies.flags.c_contiguous:
+            b, out = energies, rows[1:]
+            if table is not None:  # walk the centres: each one the argmax of the masked row before it
+                b, c, centres = out, rows[0].argmax(), np.empty(len(out), dtype=np.intp)
+                for i, (row, o) in enumerate(zip(energies, out)):
+                    c = centres[i] = multiply(table[lo - c : hi - c], row, o).argmax()
+            sums = add.reduce(b, axis=1)
+            if not (sums < 1e-300).any():
+                divide(b, sums[:, None], out)
+                if table is None or (out.argmax(axis=1) == centres).all():
+                    return sums, len(sums)
+            # else step it row by row: an underflow, or a row whose argmax moves when normalized
+        if stay is not None:
+            move1, a, a1, head = self.move1, self.a, self.a[1:], self.head
+        heads = (rows if table is None else rows[1:])[:, :-1]  # each step's p[:-1], masked into out with the filter
+        batched, sums = rows.ndim > 2, []
+        append = sums.append
+        for p, p_head, e, out in zip(rows, heads, energies, rows[1:]):
+            if table is not None:  # never batched
+                c = p.argmax()
+                mask = table[lo - c : hi - c]
+            if stay is None:  # la: the energies, masked with the filter, are the alignment
+                b = e if table is None else multiply(mask, e, out)
+            else:
+                if table is not None:
+                    p = multiply(p, mask, out)
+                multiply(stay, p, a)
+                add(a1, multiply(move1, p_head, head), a1)
+                b = multiply(a, e, out)
+            s = add.reduce(b)  # over axis 0, the phonemes
+            if (s < 1e-300).any() if batched else s < 1e-300:
+                break
+            append(s)
+            divide(b, s, out)
+        return np.array(sums), len(sums)
 
-    def la_block(self, p: np.ndarray, e: np.ndarray, out: np.ndarray) -> bool:
-        """Step T la rows after ``p`` into ``out``, bit for bit as ``step`` would, and
-        return True; return False, for the caller to step the block row by row, for a
-        kernel with weights, if a normalizer is below 1e-300 or, with the filter, if a
-        row's argmax is not the centre that masked the next row."""
-        if self.stay is not None:
-            return False
-        b = e
-        if self.table is not None:  # walk the centres: each one the argmax of the masked row before it
-            b, c, centres = out, p.argmax(), np.empty(len(e), dtype=np.intp)
-            for i, (row, o) in enumerate(zip(e, out)):
-                c = centres[i] = multiply(self.table[self.lo - c : self.hi - c], row, o).argmax()
-        s = add.reduce(b, axis=1)
-        if (s < 1e-300).any():
-            return False
-        divide(b, s[:, None], out)
-        return self.table is None or bool((out.argmax(axis=1) == centres).all())
+
+def _underflow(step: int) -> FloatingPointError:
+    return FloatingPointError(f"alignment normalizer underflowed at step {step}")
 
 
 def _window_table(n: int, opts: StepOptions) -> np.ndarray:
@@ -376,9 +378,11 @@ def _public_step(mechanism: str, p_prev: AlignmentDistribution | None, q: Transi
     p = e if p_prev is None else p_prev.p  # la without the filter never reads p
     if p.size != e.size:
         raise ValueError("length mismatch between alignment and energies")
-    out = np.empty(e.size)
-    _Kernel(None if q is None else q.q, opts, e.shape).step(p, e, out)
-    return AlignmentDistribution(p=out, step=0 if p_prev is None else p_prev.step + 1)
+    step = 0 if p_prev is None else p_prev.step + 1
+    rows = np.stack((p, e))  # p, then the row the step writes over
+    if not _Kernel(None if q is None else q.q, opts, e.shape).run(rows, e[None])[1]:
+        raise _underflow(step)
+    return AlignmentDistribution(p=rows[1], step=step)
 
 
 def gdca_step(
@@ -474,9 +478,10 @@ def _forward(q: np.ndarray | None, energies: np.ndarray, opts: StepOptions) -> t
     rows = np.empty((t_steps + 1,) + shape)
     rows[0] = 0.0
     rows[0, 0] = 1.0
-    kernel = _Kernel(q, opts, shape)
-    steps = (kernel.step(p, e, out) for p, e, out in zip(rows, energies, rows[1:]))
-    return rows, np.fromiter(steps, dtype=np.dtype((np.float64, shape[1:])), count=t_steps)
+    sums, stepped = _Kernel(q, opts, shape).run(rows, energies)
+    if stepped < t_steps:
+        raise _underflow(stepped + 1)
+    return rows, sums
 
 
 def lattice_backward(alignment: AlignmentMatrix, d_probs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -500,24 +505,26 @@ def lattice_backward(alignment: AlignmentMatrix, d_probs: np.ndarray) -> tuple[n
     # prose: dq[n] gains da[n+1] * p_prev[n] (move) and loses da[n] * p_prev[n] (stay); eq3-literal negates both
     minus = slice(2, None, 2) if cache.convention == "prose" else slice(1, None, 2)  # the terms rows to negate
     dq, d_energies, g, carry, head = np.zeros(n), np.empty((t_steps, n)), np.empty(n), np.zeros(n), np.empty(n - 1)
-    carry0, move1, blk = carry[:-1], move[1:], min(_BLOCK, t_steps)
+    carry0, move1, blk, dot = carry[:-1], move[1:], min(_BLOCK, t_steps), np.dot
     da_rows, a_rows, heads = np.empty((blk, n)), np.empty((blk, n)), np.empty((blk, n - 1))
     # dq, then each step's move and stay terms, last first; a zero last column stops numpy summing one column pairwise
     terms = np.zeros((2 * blk + 1, n))
     for hi in range(t_steps, 0, -_BLOCK):
         lo, k = max(hi - _BLOCK, 0), min(hi, _BLOCK)
-        for t in range(hi - 1, lo - 1, -1):
-            add(carry, d_probs[t + 1], g)
-            db = d_energies[t]
-            divide(subtract(g, np.dot(g, cache.p_rows[t + 1]), db), cache.sums[t], db)
-            da = multiply(db, cache.energies[t], da_rows[t - lo])
-            multiply(da, stay, carry)
-            add(carry0, multiply(da[1:], move1, head), carry0)
+        # the block's steps t, last first: d_probs and p_rows at t + 1, dE (db until the block ends), sums, energies, da
+        steps = d_probs[lo + 1 : hi + 1], d_energies[lo:hi], cache.p_rows[lo + 1 : hi + 1], cache.sums[lo:hi], cache.energies[lo:hi]
+        da = da_rows[k - 1 :: -1]
+        for dp, db, p_out, s, e, da_t, da_head in zip(*(x[::-1] for x in steps), da, da[:, 1:]):
+            add(carry, dp, g)
+            divide(subtract(g, dot(g, p_out), db), s, db)
+            multiply(db, e, da_t)
+            multiply(da_t, stay, carry)
+            add(carry0, multiply(da_head, move1, head), carry0)
         p, a, rows = cache.p_rows[lo:hi], a_rows[:k], terms[: 2 * k + 1]
         multiply(stay, p, a)  # the forward kernel's pre-content rows
         add(a[:, 1:], multiply(move1, p[:, :-1], heads[:k]), a[:, 1:])
         multiply(d_energies[lo:hi], a, d_energies[lo:hi])
-        p_prev, da = p[::-1, :-1], da_rows[k - 1 :: -1]  # last step first
+        p_prev = p[::-1, :-1]  # last step first
         rows[0] = dq
         multiply(da[:, 1:], p_prev, rows[1::2, :-1])
         multiply(da[:, :-1], p_prev, rows[2::2, :-1])

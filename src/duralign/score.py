@@ -230,8 +230,9 @@ def serialize_native(score: Score) -> str:
 def parse_lexicon(text: str) -> dict[str, tuple[tuple[str, float], ...]]:
     """Parse a lexicon: one ``syllable phoneme:ratio ...`` entry per line.
 
-    Ratios of each entry must be finite, above zero and sum to 1
-    within 1e-6.  Blank lines and ``#`` comments are ignored.
+    Each entry must meet ``_lexicon_entry``'s rule, which
+    ``expand_to_phonemes`` also applies to a lexicon built by hand.
+    Blank lines and ``#`` comments are ignored.
     """
     table: dict[str, tuple[tuple[str, float], ...]] = {}
     for lineno, line in enumerate(text.splitlines(), start=1):
@@ -241,25 +242,42 @@ def parse_lexicon(text: str) -> dict[str, tuple[tuple[str, float], ...]]:
         parts = line.split()
         if len(parts) < 2:
             raise ScoreError(f"lexicon line {lineno}: expected syllable and phonemes")
-        syllable, entries = parts[0], []
+        syllable, pairs = parts[0], []
         for part in parts[1:]:
             if ":" not in part:
                 raise ScoreError(f"lexicon line {lineno}: expected phoneme:ratio, got '{part}'")
             ph, ratio_s = part.rsplit(":", 1)
             try:
-                ratio = float(ratio_s)
+                pairs.append((ph, float(ratio_s)))
             except ValueError:
                 raise ScoreError(f"lexicon line {lineno}: bad ratio '{ratio_s}'") from None
-            if not math.isfinite(ratio):
-                raise ScoreError(f"lexicon line {lineno}: non-finite ratio")
-            if ratio <= 0:
-                raise ScoreError(f"lexicon line {lineno}: non-positive ratio")
-            entries.append((ph, ratio))
-        total = sum(r for _, r in entries)
-        if abs(total - 1.0) > 1e-6:
-            raise ScoreError(f"lexicon line {lineno}: ratios sum to {total}, expected 1")
-        table[syllable] = tuple(entries)
+        table[syllable] = _lexicon_entry(pairs, f"lexicon line {lineno}")
     return table
+
+
+def _lexicon_entry(pairs, where: str) -> tuple[tuple[str, float], ...]:
+    """The one rule of a lexicon entry, read or built by hand: one or more
+    (phoneme, ratio) pairs, each phoneme a non-empty string and each ratio
+    a positive number (``_positive_number``), the ratios summing to 1
+    within 1e-6.  Returns the pairs as a tuple with float ratios, or raises
+    a ScoreError prefixed with ``where``."""
+    try:
+        try:
+            entry = [(ph, ratio) for ph, ratio in pairs]
+        except (TypeError, ValueError):  # not iterable, or an item that is not a pair
+            raise ScoreError("not a sequence of (phoneme, ratio) pairs") from None
+        if not entry:
+            raise ScoreError("no phonemes")
+        for ph, _ in entry:
+            if not isinstance(ph, str) or not ph:
+                raise ScoreError("phoneme is not a non-empty string")
+        entry = [(ph, _positive_number("ratio", "ratio", ratio)) for ph, ratio in entry]
+        total = sum(r for _, r in entry)
+        if abs(total - 1.0) > 1e-6:
+            raise ScoreError(f"ratios sum to {total}, expected 1")
+    except ScoreError as exc:
+        raise ScoreError(f"{where}: {exc}") from None
+    return tuple(entry)
 
 
 # ---------------------------------------------------------------------------
@@ -295,6 +313,8 @@ def _phonemes_and_ratios(
     note_index: int,
 ) -> tuple[list[str], list[float]]:
     entry = (lexicon or {}).get(note.syllable)
+    if entry is not None:
+        entry = _lexicon_entry(entry, f"lexicon entry '{note.syllable}'")
     if entry is not None and note.phonemes in ((), tuple(ph for ph, _ in entry)):
         return [ph for ph, _ in entry], [r for _, r in entry]
     if note.phonemes:  # explicit phonemes win; lexicon ratios only apply when they agree
@@ -314,7 +334,9 @@ def expand_to_phonemes(
     Each note's frame budget is split across its phonemes by lexicon
     ratios (equal split by default); shares are rounded with the residual
     assigned to the last phoneme so the per-note total is exact, and
-    every phoneme gets at least one frame.
+    every phoneme gets at least one frame.  A lexicon entry the expansion
+    looks up must meet ``parse_lexicon``'s rule; a ScoreError names the
+    syllable of one that does not.
     """
     events: list[PhonemeEvent] = []
     clamped = False

@@ -31,6 +31,7 @@ from .attention import (
     _content,
     _Kernel,
     _softmax,
+    _underflow,
     _unchecked,
     normalize_energies,
 )
@@ -256,33 +257,25 @@ def run_simulation(
     qgen = QueryGenerator(n, cfg.seed) if cfg.energy.mode == "from_query_generator" else None
     synth = (_SHARED.get() or _SynthRows(d, cfg.energy, cfg.seed)) if qgen is None else None
 
-    p = np.eye(1, n)[0]  # the one-hot first row
-    blocks: list[np.ndarray] = []
-    parked = 0
+    blocks, parked = [np.eye(1, n)], 0  # the one-hot row before step 0, then each block's stepped rows
     stopped_by = "max_steps" if stop_rule else "fixed"
-    for t0 in range(0, limit, _BLOCK):  # rows written in place, a block at a time
-        rows = np.empty((min(_BLOCK, limit - t0), n))
-        blocks.append(rows)
-        energies = synth.rows(t0, t0 + len(rows)) if qgen is None else None
-        stepped = qgen is None and kernel.la_block(p, energies, rows)
-        if stepped:
-            p = rows[-1]
-            if not stop_rule:
-                continue
-        for i, row in enumerate(rows):  # the block row by row, unless la_block stepped it
-            if not stepped:
-                kernel.step(p, energies[i] if qgen is None else qgen.energies(p), row)
-                p = row
-            if stop_rule:
-                parked = parked + 1 if row.argmax() == n - 1 else 0
-                if parked >= cfg.stop_patience:
-                    blocks[-1] = rows[: i + 1]
-                    stopped_by = "parked"
-                    break
-        if stopped_by == "parked":
-            break
+    for t0 in range(0, limit, _BLOCK):  # a block of rows at a time, stepped whole from the row before it
+        rows = np.empty((min(_BLOCK, limit - t0) + 1, n))
+        rows[0] = blocks[-1][-1]
+        energies = synth.rows(t0, t0 + len(rows) - 1) if qgen is None else map(qgen.energies, rows[:-1])
+        stepped = kernel.run(rows, energies)[1]
+        blocks.append(rows[1 : stepped + 1])
+        if stop_rule:  # the stepped rows off the last phoneme, after the block's parked start and before its end
+            off = np.concatenate([[-1 - parked], np.flatnonzero(blocks[-1].argmax(axis=1) != n - 1), [stepped]])
+            gaps = np.flatnonzero(np.diff(off) > cfg.stop_patience)  # a run between two of them that reaches the patience
+            if gaps.size:
+                blocks[-1], stopped_by = blocks[-1][: off[gaps[0]] + cfg.stop_patience + 1], "parked"
+                break
+            parked = stepped - 1 - off[-2]
+        if stepped < len(rows) - 1:
+            raise _underflow(t0 + stepped)
 
-    probs = np.concatenate(blocks)
+    probs = np.concatenate(blocks[1:])
     realized, monotone = _path_counts(probs.argmax(axis=1), n)
     return SimResult(
         alignment=_unchecked(AlignmentMatrix, {"probs": probs, "cache": None}),

@@ -205,7 +205,7 @@ class DurationEncoderParams:
 def _sigmoid(x: np.ndarray) -> np.ndarray:
     # 1/(1+exp(-x)) for x >= 0 and exp(x)/(1+exp(x)) below, neither of which overflows
     e = np.exp(-np.abs(x))
-    return np.where(x >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
+    return np.where(x >= 0, 1.0, e) / (1.0 + e)
 
 
 def _forward_parts(params: DurationEncoderParams, rows: np.ndarray):
@@ -241,20 +241,17 @@ def encoder_backward(
     upstream = _floats("upstream gradient", upstream_grad)
     if upstream.shape != (feats.rows.shape[0],):
         raise ValueError("upstream gradient shape mismatch")
-    return _encoder_grads(params, *_forward_parts(params, feats.rows), upstream)
+    return DurationEncoderParams(*_encoder_grads(params, *_forward_parts(params, feats.rows), upstream))
 
 
 def _encoder_grads(
     params: DurationEncoderParams, x: np.ndarray, h: np.ndarray, y: np.ndarray, upstream: np.ndarray
-) -> DurationEncoderParams:
-    """The reverse pass of ``encoder_backward`` from its forward parts."""
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, float]:
+    """The reverse pass of ``encoder_backward`` from its forward parts: the
+    gradients of w1, b1, w2 and b2, each sum by ``add.reduce``, which ``.sum`` calls."""
     dy = upstream * y * (1.0 - y)  # (N,)
-    db2 = float(dy.sum())
-    dw2 = h.T @ dy
     dpre = dy[:, None] * params.w2 * (1.0 - h * h)
-    dw1 = dpre.T @ x
-    db1 = dpre.sum(axis=0)
-    return DurationEncoderParams(w1=dw1, b1=db1, w2=dw2, b2=db2)
+    return dpre.T @ x, np.add.reduce(dpre, axis=0), h.T @ dy, float(np.add.reduce(dy))
 
 
 @dataclass(frozen=True)
@@ -301,16 +298,16 @@ def train_encoder(
         order = rng.permutation(n)
         for b, start in enumerate(range(0, n, cfg.batch_size)):
             idx = order[start : start + cfg.batch_size]
-            x, h, y = _forward_parts(params, feats.rows[idx])
+            x, h, y = _forward_parts(params, feats.rows.take(idx, axis=0))  # rows[idx], without fancy indexing's set-up
             err = y - target[idx]
             batch_losses[b] = loss = np.add.reduce(err * err) / idx.size
             if not math.isfinite(loss):
                 raise TrainingDiverged(epoch)
-            grads = _encoder_grads(params, x, h, y, 2.0 * err / idx.size)
-            params.w1 -= lr * grads.w1
-            params.b1 -= lr * grads.b1
-            params.w2 -= lr * grads.w2
-            params.b2 -= lr * grads.b2
+            dw1, db1, dw2, db2 = _encoder_grads(params, x, h, y, 2.0 * err / idx.size)
+            params.w1 -= lr * dw1
+            params.b1 -= lr * db1
+            params.w2 -= lr * dw2
+            params.b2 -= lr * db2
         history.append(float(np.add.reduce(batch_losses) / batch_losses.size))
     return params, history
 

@@ -385,7 +385,7 @@ def test_underflow_is_one_line_experiment_failure(capsys, tmp_path, command):
     argv = [command, TEN, *tempos, "--out", str(out), "--energy", "noisy_diagonal", "--noise-sigma", "800", "--seed", "3"]
     code, stdout, err = run(capsys, *argv)
     assert (code, stdout) == (1, "")
-    assert err == "simulation failed: alignment normalizer underflowed; inconsistent filter/energy combination\n"
+    assert err == "simulation failed: alignment normalizer underflowed at step 0\n"
     assert not out.exists()
 
 

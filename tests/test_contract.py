@@ -18,8 +18,10 @@ tempo that is not a positive number, ``TrainConfig`` bad fields and
 ``train_encoder`` no data or targets of another length.  The readers of
 outside text (``parse_lexicon``, ``parse_musicxml``, and
 ``expand_to_phonemes`` on a syllable the lexicon lacks) get malformed
-text and name what is wrong with it; the native reader and the score
-types also get a syllable, phonemes or a title that are not strings.
+text and name what is wrong with it, and ``expand_to_phonemes`` also gets
+a lexicon built by hand whose entry for the note's syllable breaks
+``parse_lexicon``'s entry rule; the native reader and the score types
+also get a syllable, phonemes or a title that are not strings.
 ``QueryGenerator.energies`` is left out: the simulator's step loop
 calls it on rows it made itself, so it checks nothing per step.
 """
@@ -227,6 +229,11 @@ NO_PHONEMES = PhonemeSequence(events=())
 UNTIMED = PhonemeSequence(events=(PhonemeEvent("a", 60, 0.5, 50, 0),))  # built by hand: no tempo
 
 # (entry point, argument, what is wrong, call, message) of the containers and degenerate shapes
+def expand_la(lexicon):
+    """``expand_to_phonemes`` of one 0.5 s note sung to ``la``, which has no phonemes of its own."""
+    return expand_to_phonemes(Score(default_tempo_bpm=120, notes=(NoteEvent("la", (), 60, 1.0),)), lexicon)
+
+
 CONTAINERS = [
     ("monotonicity_score", "alignment", "one step", lambda: monotonicity_score(AlignmentMatrix(probs=ROWS[:1])),
      "need at least two steps"),
@@ -289,6 +296,18 @@ CONTAINERS = [
      "no tempo directive and no caller-supplied default"),
     ("parse_musicxml", "default_tempo_bpm", -1.0, lambda: parse_musicxml(XML.replace('<sound tempo="60"/>', ""), -1.0),
      "non-positive default tempo"),
+    ("parse_lexicon", "text", "empty phoneme", lambda: parse_lexicon("la :1.0"), "lexicon line 1: phoneme is not a non-empty string"),
+    # a lexicon built by hand meets parse_lexicon's entry rule, under the syllable's name
+    ("expand_to_phonemes", "lexicon", "no pairs", lambda: expand_la({"la": ()}), "lexicon entry 'la': no phonemes"),
+    ("expand_to_phonemes", "lexicon", "nan ratio", lambda: expand_la({"la": (("l", np.nan),)}), "lexicon entry 'la': non-finite ratio"),
+    ("expand_to_phonemes", "lexicon", "ratio sum", lambda: expand_la({"la": (("l", 0.2),)}),
+     "lexicon entry 'la': ratios sum to 0.2, expected 1"),
+    ("expand_to_phonemes", "lexicon", "empty phoneme", lambda: expand_la({"la": (("", 1.0),)}),
+     "lexicon entry 'la': phoneme is not a non-empty string"),
+    ("expand_to_phonemes", "lexicon", "negative ratio", lambda: expand_la({"la": (("l", -0.5), ("a", 1.5))}),
+     "lexicon entry 'la': non-positive ratio"),
+    ("expand_to_phonemes", "lexicon", "not pairs", lambda: expand_la({"la": 5}),
+     r"lexicon entry 'la': not a sequence of \(phoneme, ratio\) pairs"),
     ("expand_to_phonemes", "score", "unknown syllable",
      lambda: expand_to_phonemes(Score(default_tempo_bpm=120, notes=(NoteEvent("zz", (), 60, 1.0),)), {"la": (("l", 1.0),)}),
      "unknown syllable 'zz' at note 0 with no explicit phonemes"),
