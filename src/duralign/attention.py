@@ -66,7 +66,7 @@ __all__ = [
 MECHANISMS = ("la", "fa", "gdca")
 CONVENTIONS = ("prose", "eq3-literal")
 WINDOW_SHAPES = ("rectangular", "triangular")
-_BLOCK = 128  # rows that _csv_chunks formats, lattice_backward finishes and run_simulation steps at a time
+_BLOCK = 128  # rows that _csv_chunks formats, lattice_backward walks and run_simulation hands _Kernel.run at a time
 
 
 # ---------------------------------------------------------------------------
@@ -283,7 +283,7 @@ class _Kernel:
         """Step ``rows[1:]`` from ``rows[0]``, each row by the plain expressions'
         ufuncs in their order, with ``energies``: an array of rows, or an iterator
         that yields a step's row once the row before it is written.  An la kernel
-        over an array first tries the whole block.  Returns the normalizers, one
+        over a row-major array first tries the whole block.  Returns the normalizers, one
         per column, and how many rows were stepped before one fell below 1e-300."""
         table, lo, hi, stay = self.table, self.lo, self.hi, self.stay
         # la over one sequence: the whole block at once, if it is row-major, so that numpy sums each row as it sums one alone
