@@ -4,158 +4,115 @@
 zero bytes between and after the characters, so that
 ``column[column != 0].tobytes().decode()`` equals ``repr(float(v))``.
 The digits are the shortest that read back to the same double and, of
-those, the closest to it (ties to even): the Ryu algorithm (Adams, PLDI
-2018; the ``d2d`` routine of its reference implementation), with its
-64x128-bit products done in 32-bit limbs.  They are laid out as
+those, the closest to it (ties to even): the Schubfach algorithm
+(Giulietti, "The Schubfach way to render doubles", 2020; the
+``toDecimal`` routine of Java's ``DoubleToDecimal``), with its
+products done in 32-bit limbs and without Java's two-digit minimum,
+which ``repr`` does not have.  They are laid out as
 ``float.__repr__`` lays them out: positional while the decimal point
 position ``decpt`` is in [-3, 16], else ``d.ddde±XX``, in 29 rows:
 the sign, ``0.``, up to three zeros after it, 17 digits with one slot
 for the decimal point among them, and one suffix, ``.0`` for a whole
-number or the exponent (see ``_layout``).  The work is a
-fixed sequence of array operations plus a digit-dropping loop of a few
-passes, so the cost per value hardly depends on the values; a Python
-``repr`` call per value costs several times more.
+number or the exponent (see ``_layout``).  The work is a fixed
+sequence of array operations plus one loop over the values whose
+digits end in zero, so the cost per value hardly depends on the
+values; a Python ``repr`` call per value costs several times more.
 """
 
 import numpy as np
 
 _U = np.uint64
 _M32 = _U(0xFFFFFFFF)
-_TEN = _U(10)
-_BITS = 125  # bit length of every 5-power multiplier below
 WIDTH = 29  # rows of a repr_columns result
-_NEG = 292  # column of 5**0 among the multipliers for e2 < 0
+_K_MIN = -324  # the smallest decimal exponent k of a double's interval
 
 
 def _multipliers() -> np.ndarray:
-    """Ryu's multipliers as (4, 618) 32-bit limbs, low first.  For a
-    binary exponent e2 >= 0, column q holds
-    floor(2**(bitlen(5**q) - 1 + 125) / 5**q) + 1; for e2 < 0, column
-    _NEG + i holds the leading 125 bits of 5**i."""
-    values, power = [], 1
-    for _ in range(_NEG):
-        values.append((1 << (power.bit_length() - 1 + _BITS)) // power + 1)
-        power *= 5
-    power = 1
-    for _ in range(326):
-        shift = power.bit_length() - _BITS
-        values.append(power >> shift if shift >= 0 else power << -shift)
-        power *= 5
+    """Schubfach's g(k) = floor(10**-k * 2**(125 - floor(-k log2 10))) + 1,
+    which is in [2**125, 2**126), for k in [-324, 292], as (4, 617)
+    32-bit limbs, low first; column k + 324 holds g(k)."""
+    values = []
+    for k in range(_K_MIN, 293):
+        s = 125 - ((-k * 913124641741) >> 38)
+        values.append((10 ** max(-k, 0) << max(s, 0)) // (10 ** max(k, 0) << max(-s, 0)) + 1)
     raw = b"".join(v.to_bytes(16, "little") for v in values)
     return np.frombuffer(raw, dtype="<u4").reshape(-1, 4).T.astype(np.uint64)
 
 
 _MUL = _multipliers()
-_POW5_SMALL = np.array([5**q for q in range(22)], dtype=np.uint64)
 _POW10 = np.array([10**k for k in range(17)], dtype=np.uint64)
 
 
-def _pow5bits(e: np.ndarray) -> np.ndarray:
-    """Bit length of 5**e, for 0 <= e <= 3528."""
-    return ((e * 1217359) >> 19) + 1
+def _rop(v: np.ndarray, g: np.ndarray, left: np.ndarray, right: np.ndarray) -> list[np.ndarray]:
+    """floor(g * w / 2**127), made odd where the quotient is inexact, for
+    w = v, v - 2**left and v + 2**right: (n,) uint64 ``v`` below 2**59,
+    (4, n) 32-bit limbs ``g`` below 2**126 and (n,) int64 shifts of at
+    most 5.  The product of ``v`` is summed in 32-bit columns once; the
+    ends add a multiple of ``g`` to those columns before the carries.
 
-
-def _mul_shift(mv: np.ndarray, down: np.ndarray, mul: np.ndarray, j: np.ndarray) -> list[np.ndarray]:
-    """floor(v * mul / 2**j) for v = mv, mv + 2 and mv - down: (n,)
-    uint64 ``mv`` below 2**55, ``down`` 1 or 2, (4, n) 32-bit limbs
-    ``mul`` and shifts ``j`` in [96, 128).  The product of ``mv`` is
-    summed in 32-bit columns once; the other two add a multiple of
-    ``mul`` to those columns before the carries."""
-    cols = np.zeros((6, len(mv)), dtype=np.uint64)
-    for a, part in enumerate((mv & _M32, mv >> _U(32))):
+    Inexact means that a bit from 64 to 126 of the product is set: the
+    bits below 64, where g's excess over 10**-k * 2**r times w lands, do
+    not count.  Java's ``rop``, the form the paper proves, splits g at
+    bit 63 and drops the low bit of g_high * w's low word and the low
+    64 bits of g_low * w.  Every w here is even (its factor 2**h has
+    h >= 1), so the bit it drops is 0, its sum carries nothing out of
+    the low 64 bits, and its odd bit is exactly the one taken here."""
+    cols = np.zeros((6, len(v)), dtype=np.uint64)
+    for a, part in enumerate((v & _M32, v >> _U(32))):
         for b in range(4):
-            prod = part * mul[b]
+            prod = part * g[b]
             cols[a + b] += prod & _M32
             cols[a + b + 1] += prod >> _U(32)
     cols = cols.view(np.int64)  # each column is below 2**35
-    mul = mul.view(np.int64)
-    s = (j - 96).astype(np.uint64)
+    g = g.view(np.int64)
     out = []
-    for extra in (None, 2 * mul, -down * mul):
+    for extra in (None, -(g << left), g << right):
         limbs, carry = [], 0
-        for k in range(6):
-            limb = cols[k] + carry
-            if extra is not None and k < 4:
-                limb += extra[k]
+        for j in range(6):
+            limb = cols[j] + carry
+            if extra is not None and j < 4:
+                limb += extra[j]
             carry = limb >> 32  # arithmetic: a negative column borrows
-            limbs.append(limb.view(np.uint64))
-        low = limbs[3] & _M32
-        high = (limbs[4] & _M32) | limbs[5] << _U(32)
-        out.append((low >> s) | (high << (_U(32) - s)))
+            limbs.append(limb & 0xFFFFFFFF)
+        inexact = (limbs[2] | (limbs[3] & 0x7FFFFFFF)) != 0
+        out.append(limbs[3] >> 31 | limbs[4] << 1 | limbs[5] << 33 | inexact)
     return out
-
-
-def _div10(v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    q = v // _TEN
-    return q, v - q * _TEN
 
 
 def _shortest(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Shortest decimal digits (uint64) and exponent (int64) of each
     finite, nonzero |x|: |x| reads back from ``digits * 10**exp``."""
     bits = x.view(np.uint64) & _U((1 << 63) - 1)
-    ieee_m = bits & _U((1 << 52) - 1)
-    ieee_e = (bits >> _U(52)).astype(np.int64)
-    sub = ieee_e == 0
-    e2 = np.maximum(ieee_e, 1) - 1077
-    m2 = ieee_m | (~sub).astype(np.uint64) << _U(52)
-    accept = (m2 & _U(1)) == 0  # round-half-even reading accepts the interval's ends
-    mm_shift = (ieee_m != 0) | (ieee_e <= 1)
-    mv = m2 << _U(2)
+    fraction = bits & _U((1 << 52) - 1)
+    biased = (bits >> _U(52)).astype(np.int64)
+    c = fraction | (biased != 0).astype(np.uint64) << _U(52)  # |x| = c * 2**q
+    q = np.maximum(biased, 1) - 1075
+    # A power of two's gap below is half its gap above: the interval's
+    # left end is 3/4 of a unit below, and k = floor(log10(3/4 * 2**q)).
+    lopsided = ((fraction == 0) & (biased > 1)).astype(np.int64)
+    k = (q * 661971961083 - lopsided * 274743187321) >> 41
+    h = q + ((-k * 913124641741) >> 38) + 2  # in [1, 4]
+    vb, vbl, vbr = _rop(c << (h + 2).astype(np.uint64), _MUL[:, k - _K_MIN], h + 1 - lopsided, h + 1)
 
-    pos = e2 >= 0
-    q = np.where(pos, ((e2 * 78913) >> 18) - (e2 > 3), ((-e2 * 732923) >> 20) - (-e2 > 1))
-    i = (-e2 - q) * ~pos
-    mul = _MUL[:, np.where(pos, q, _NEG + i)]
-    j = np.where(pos, -e2 + q + _BITS - 1 + _pow5bits(q), q - _pow5bits(i) + _BITS)
-    vr, vp, vm = _mul_shift(mv, 1 + mm_shift, mul, j)
-
-    # Whether the digits the multiply dropped from vr and vm are all
-    # zero; only possible when it dropped few (small q).
-    vr_tz = ~pos & (q <= 1)
-    vm_tz = vr_tz & accept & mm_shift
-    vp -= (vr_tz & ~accept).astype(np.uint64)
-    mid = ~pos & (q > 1) & (q < 63)
-    if mid.any():
-        low_bits = (_U(1) << (q * mid).astype(np.uint64)) - _U(1)
-        vr_tz |= mid & ((mv & low_bits) == 0)
-    small = pos & (q <= 21)
-    if small.any():
-        p5 = _POW5_SMALL[q * small]
-        mv5 = mv % _U(5) == 0
-        vr_tz |= small & mv5 & (mv % p5 == 0)
-        vm_tz |= small & ~mv5 & accept & ((mv - _U(1) - mm_shift.astype(np.uint64)) % p5 == 0)
-        vp -= (small & ~mv5 & ~accept & ((mv + _U(2)) % p5 == 0)).astype(np.uint64)
-
-    # Drop digits while the interval (vm, vp) still holds a shorter
-    # number; then, where vm's dropped digits are all zero, while vm
-    # itself ends in zero.  Only the values still shortening are worked on.
-    removed = np.zeros(len(x), dtype=np.int64)
-    last = np.zeros(len(x), dtype=np.uint64)
-    live = np.arange(len(x))
+    # In units of 10**k, |x| is vb / 4 and its interval runs from vbl / 4
+    # to vbr / 4, ends included when c is even.  The interval holds s or
+    # s + 1; a multiple of ten in it, if just one, is shorter.
+    out = (c & _U(1)).astype(np.int64)
+    s = vb >> 2
+    sp10 = s // 10 * 10
+    upin = vbl + out <= sp10 << 2
+    wpin = (sp10 + 10 << 2) + out <= vbr
+    uin = vbl + out <= s << 2
+    win = (s + 1 << 2) + out <= vbr
+    rest = vb & 3  # vb - 4s: below 2 is closer to s, 2 a tie
+    down = np.where(uin == win, (rest < 2) | (rest == 2) & ((s & 1) == 0), uin)
+    digits = np.where((s >= 10) & (upin != wpin), sp10 + 10 * wpin, s + ~down)
+    live = np.flatnonzero(digits % 10 == 0)
     while live.size:
-        vp10, _ = _div10(vp[live])
-        vm10, vm_digit = _div10(vm[live])
-        go = vp10 > vm10
-        live = live[go]
-        vm_tz[live] &= vm_digit[go] == 0
-        vr_tz[live] &= last[live] == 0
-        vr[live], last[live] = _div10(vr[live])
-        vp[live], vm[live] = vp10[go], vm10[go]
-        removed[live] += 1
-    live = np.flatnonzero(vm_tz)
-    while live.size:
-        vm10, vm_digit = _div10(vm[live])
-        go = (vm_digit == 0) & (vm10 != 0)
-        live = live[go]
-        vr_tz[live] &= last[live] == 0
-        vr[live], last[live] = _div10(vr[live])
-        vp[live] //= _TEN
-        vm[live] = vm10[go]
-        removed[live] += 1
-    last[vr_tz & (last == 5) & ((vr & _U(1)) == 0)] = 4  # exactly ...50...0: round to even
-    up = ((vr == vm) & (~accept | ~vm_tz)) | (last >= 5)
-    return vr + up.astype(np.uint64), np.where(pos, q, q + e2) + removed
+        digits[live] //= 10
+        k[live] += 1
+        live = live[digits[live] % 10 == 0]
+    return digits.view(np.uint64), k
 
 
 def _layout(digits: np.ndarray, exp: np.ndarray) -> np.ndarray:

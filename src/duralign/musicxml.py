@@ -37,7 +37,10 @@ def _pitch_to_midi(pitch_el: ET.Element) -> int:
         raise ScoreError(f"unsupported pitch step '{step}'")
     octave = _number("octave", octave_el.text, int)
     alter_el = pitch_el.find("alter")
-    alter = _number("alter", alter_el.text or "0", lambda s: int(float(s))) if alter_el is not None else 0
+    alter_text = "0" if alter_el is None else alter_el.text or "0"
+    alter = _number("alter", alter_text, lambda s: int(float(s)))
+    if alter != float(alter_text):  # a quarter tone, say: no MIDI pitch
+        raise ScoreError(f"<alter> is not an integer: '{alter_text.strip()}'")
     return 12 * (octave + 1) + _STEP_SEMITONES[step] + alter
 
 

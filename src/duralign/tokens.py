@@ -316,6 +316,14 @@ def train_encoder(
 # Serialization
 
 
+def _csv_field(text: str) -> str:
+    """``text`` as one CSV field: quoted, its quotes doubled, if it holds
+    ``,``, ``"``, ``\\r`` or ``\\n``, else as it is.  (``csv.writer`` with
+    ``\\n`` line ends leaves a ``\\r`` unquoted on Python 3.11, and a
+    reader then splits the row there.)"""
+    return '"' + text.replace('"', '""') + '"' if any(c in text for c in ',"\r\n') else text
+
+
 def tokens_to_csv(seq: PhonemeSequence, tokens: TransitionTokens) -> str:
     """CSV export: index,phoneme,d_frames,q."""
     if tokens.q.shape != (len(seq),):
@@ -323,7 +331,7 @@ def tokens_to_csv(seq: PhonemeSequence, tokens: TransitionTokens) -> str:
     out = io.StringIO()
     out.write("index,phoneme,d_frames,q\n")
     for i, ev in enumerate(seq.events):
-        out.write(f"{i},{ev.phoneme},{ev.target_frames},{float(tokens.q[i])!r}\n")
+        out.write(f"{i},{_csv_field(ev.phoneme)},{ev.target_frames},{float(tokens.q[i])!r}\n")
     return out.getvalue()
 
 

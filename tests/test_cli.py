@@ -1,3 +1,5 @@
+import csv
+import io
 import json
 import re
 
@@ -150,6 +152,18 @@ class TestTokens:
                                  parse_lexicon((fixtures_dir / "lexicon.txt").read_text()))
         assert (code, out) == (0, tokens_to_csv(seq, oracle_tokens(seq)))
         assert out.splitlines()[1:3] == ["0,n,30,0.03333333333333333", "1,i,30,0.03333333333333333"]
+
+    def test_phoneme_names_read_back_from_the_csv(self, capsys, tmp_path):
+        # names that hold the CSV's separators: quoted, so the rows stay whole
+        names = ["l,x", "a\nb", 'q"t', "r\rs", "plain"]
+        score = tmp_path / "score.json"
+        score.write_text(json.dumps({"tempo_bpm": 120, "notes": [
+            {"syllable": "la", "phonemes": names, "midi_pitch": 60, "duration_beats": 1}]}))
+        code, out, _ = run(capsys, "tokens", str(score))
+        rows = list(csv.reader(io.StringIO(out, newline="")))
+        assert code == 0 and rows[0] == ["index", "phoneme", "d_frames", "q"]
+        assert [row[:2] for row in rows[1:]] == [[str(i), name] for i, name in enumerate(names)]
+        assert out.splitlines()[-1].startswith("4,plain,")
 
     def test_malformed_lexicon_file_is_usage_error(self, capsys, tmp_path):
         lexicon = tmp_path / "lex.txt"

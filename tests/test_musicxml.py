@@ -55,6 +55,8 @@ def test_non_finite_values_rejected(fixtures_dir, old, new, field):
         ("<octave>4</octave>", "<octave>four</octave>", "<octave> is not a number: 'four'"),
         ("<octave>4</octave>", "<octave>4</octave><alter>sharp</alter>", "<alter> is not a number: 'sharp'"),
         ("<octave>4</octave>", "<octave>4</octave><alter>inf</alter>", "<alter> is not a number: 'inf'"),
+        ("<octave>4</octave>", "<octave>4</octave><alter>0.5</alter>", "<alter> is not an integer: '0.5'"),
+        ("<octave>4</octave>", "<octave>4</octave><alter> -1.9 </alter>", "<alter> is not an integer: '-1.9'"),
         ("<duration>1</duration>", "<duration></duration>", "<duration> is not a number: ''"),
     ],
 )
@@ -63,6 +65,13 @@ def test_word_for_a_number_names_the_element(fixtures_dir, old, new, message):
     assert xml.count(old) == 1
     with pytest.raises(ScoreError, match=f"^{re.escape(message)}$"):
         parse_musicxml(xml.replace(old, new))
+
+
+@pytest.mark.parametrize("alter, pitch", [("1", 61), ("-1", 59), ("1.0", 61), ("", 60)])
+def test_whole_alter_shifts_the_pitch(fixtures_dir, alter, pitch):
+    xml = (fixtures_dir / "musicxml" / "single_note.musicxml").read_text()
+    xml = xml.replace("<octave>4</octave>", f"<octave>4</octave><alter>{alter}</alter>")
+    assert parse_musicxml(xml).notes[0].pitch == pitch
 
 
 @pytest.mark.parametrize(

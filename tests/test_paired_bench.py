@@ -99,3 +99,15 @@ def test_each_run_records_its_sides_commit(tmp_path):
     run = pb.run_once(tmp_path, "demo", 7, 1.0, "0123abcd")
     assert run["meta"] == {"python": "3", "numpy": "2", "git_sha": "0123abcd"}
     assert (run["exit"], run["correct"], run["metrics"], run["op_label_ms"]) == (0, True, {"wall_s": 0.1}, {"FA": 1.0})
+    assert (run["drift"], run["failures"]) == ([], [])
+
+
+def test_each_run_keeps_what_explains_an_incorrect_run(tmp_path):
+    (tmp_path / "perfbench").mkdir()
+    fake = FAKE_RUN.replace('"meta": meta}', '"meta": meta, "drift": ["pass 3: 7 != 8"], "failures": FAILURES}')
+    fake = fake.replace('{"correct": True, "attempted": 1, "failed": 0', '{"correct": False, "attempted": 9, "failed": 9')
+    (tmp_path / "perfbench" / "run.py").write_text("FAILURES = [f'0{i}.FA: boom' for i in range(9)]\n" + fake)
+    (tmp_path / "perfbench" / "speed.py").write_text("REFERENCE_S = 0.002\n")
+    run = pb.run_once(tmp_path, "demo", 7, 1.0, "0123abcd")
+    assert (run["correct"], run["failed"], run["drift"]) == (False, 9, ["pass 3: 7 != 8"])
+    assert run["failures"] == [f"0{i}.FA: boom" for i in range(pb.FAILURES_KEPT)]

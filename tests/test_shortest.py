@@ -24,6 +24,15 @@ def finite_from_bits(bits):
     return values[np.isfinite(values)]
 
 
+def every_exponent_near_the_ends():
+    """At every biased exponent, the significands within 32 of 2**52 and
+    2**53 (of 0 and 2**52 among the subnormals), and a few random ones:
+    where the interval turns lopsided, and where the products' low bits,
+    which decide their odd bit, stand at each exponent."""
+    fractions = np.r_[0:32, 2**52 - 32 : 2**52, np.random.default_rng(2802).integers(0, 2**52, 8)]
+    return finite_from_bits(np.arange(2047, dtype=np.uint64)[:, None] << np.uint64(52) | fractions.astype(np.uint64))
+
+
 @given(hnp.arrays(np.float64, st.integers(0, 40), elements=st.floats(allow_nan=False, allow_infinity=False)))
 def test_matches_repr_on_any_finite_doubles(values):
     assert texts(values) == reprs(values)
@@ -53,8 +62,9 @@ def test_matches_repr_on_random_bit_patterns():
         1e16 + np.arange(-3000.0, 3000.0, 2.0),
         np.nextafter(1e-4, 0.0) * (1.0 + np.arange(-50, 50) * 2.0**-52),
         [5e-324, -5e-324, 2.2250738585072014e-308, 1.7976931348623157e308, -1.7976931348623157e308],
+        every_exponent_near_the_ends(),
     ],
-    ids=["binade-first", "binade-second", "binade-last", "subnormals", "decimals", "near-2**53", "near-1e16", "near-1e-4", "extremes"],
+    ids=["binade-first", "binade-second", "binade-last", "subnormals", "decimals", "near-2**53", "near-1e16", "near-1e-4", "extremes", "every-exponent-ends"],
 )
 def test_matches_repr_on_boundary_families(family):
     assert texts(family) == reprs(family)

@@ -47,6 +47,7 @@ from pathlib import Path
 
 REPO = Path(__file__).resolve().parent.parent
 WIN_SHARE = 0.9
+FAILURES_KEPT = 5  # failure lines a run's entry keeps
 
 
 def parse_seeds(text: str) -> list[int]:
@@ -108,7 +109,8 @@ def run_once(root: Path, workload: str, seed: int, seconds: float, sha: str) -> 
     """One untraced benchmark run: its last output line, plus the scaled
     op times and versions from the record it writes, with ``sha``, the
     side's commit, as the ``git_sha`` of its meta (a run in a ``git
-    archive`` export cannot read its own)."""
+    archive`` export cannot read its own), and the record's drift lines
+    and first failures, which say why a run is not correct."""
     cmd = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
            "--seconds", str(seconds), "--trace", "0"]
     proc = subprocess.run(cmd, cwd=root, capture_output=True, text=True)
@@ -125,6 +127,8 @@ def run_once(root: Path, workload: str, seed: int, seconds: float, sha: str) -> 
         "metrics": {name: m["value"] for name, m in result["metrics"].items()},
         "op_label_ms": op_label_ms(record, reference_s(root)),
         "meta": {**record["meta"], "git_sha": sha},
+        "drift": record.get("drift", []),
+        "failures": record.get("failures", [])[:FAILURES_KEPT],
     }
 
 
