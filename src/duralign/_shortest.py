@@ -34,7 +34,8 @@ def _multipliers() -> np.ndarray:
     values = []
     for k in range(_K_MIN, 293):
         s = 125 - ((-k * 913124641741) >> 38)
-        values.append((10 ** max(-k, 0) << max(s, 0)) // (10 ** max(k, 0) << max(-s, 0)) + 1)
+        p = 10 ** abs(k)
+        values.append(((1 << s) // p if k > 0 else p << s if s >= 0 else p >> -s) + 1)
     raw = b"".join(v.to_bytes(16, "little") for v in values)
     return np.frombuffer(raw, dtype="<u4").reshape(-1, 4).T.astype(np.uint64)
 
